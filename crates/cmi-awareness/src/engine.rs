@@ -591,17 +591,21 @@ impl AwarenessEngine {
         delivered: &mut Vec<Notification>,
     ) {
         let mut n = self.make_notification(schema, user, &d.event, instance);
-        if let Ok(seq) = self.queue.enqueue(n.clone()) {
+        // Link the queued notification back to the detection's causal
+        // trace: retrieval by seq is what the wire telemetry exposes. Bound
+        // before the notification is published — a consumer woken by the
+        // enqueue (the fed notify pump) reads the trace id by seq at once.
+        let bind = |seq| {
+            if let Some(tid) = d.trace {
+                self.obs.tracer().bind_seq(seq, tid);
+            }
+        };
+        if let Ok(seq) = self.queue.enqueue_bound(n.clone(), bind) {
             n.seq = seq;
             self.counters.notifications.inc();
-            // Link the queued notification back to the detection's causal
-            // trace: retrieval by seq is what the wire telemetry exposes,
-            // and the "queue" stage stamps how long detection → enqueue
-            // took.
+            // The "queue" stage stamps how long detection → enqueue took.
             if let Some(tid) = d.trace {
-                let tracer = self.obs.tracer();
-                tracer.bind_seq(seq, tid);
-                tracer.stage(tid, "queue");
+                self.obs.tracer().stage(tid, "queue");
             }
             delivered.push(n);
         }
@@ -882,5 +886,61 @@ mod tests {
         let n = &f.engine.queue().fetch(u, 1)[0];
         assert_eq!(n.str_info.as_deref(), Some("positive"));
         assert_eq!(n.description, "status changed");
+    }
+
+    /// The interleaving the fed notify pump can win, forced by doing the
+    /// pump's lookup inside the enqueue hook: it reads the trace id by seq
+    /// before `deliver_one` returns, so binding must precede publication.
+    #[test]
+    fn trace_is_bound_before_the_notification_is_published() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let f = fixture();
+        let u = f.directory.add_user("u");
+        let r = f.directory.add_role("watchers").unwrap();
+        f.directory.assign(u, r).unwrap();
+        let mut b = AwarenessSchemaBuilder::new(AwarenessSchemaId(1), "AS", P);
+        let filt = b.context_filter("C", "f").unwrap();
+        f.engine
+            .register(b.deliver_to(filt, RoleSpec::org("watchers")).build().unwrap());
+
+        let seen = Arc::new(AtomicUsize::new(0));
+        let unbound = Arc::new(AtomicUsize::new(0));
+        let queue = Arc::downgrade(f.engine.queue());
+        let tracer = Arc::clone(f.engine.obs().tracer());
+        let (hook_seen, hook_unbound) = (seen.clone(), unbound.clone());
+        f.engine.queue().subscribe_enqueue(Box::new(move |user| {
+            let Some(queue) = queue.upgrade() else {
+                return false;
+            };
+            for n in queue.fetch(user, usize::MAX) {
+                hook_seen.fetch_add(1, Ordering::Relaxed);
+                if tracer.trace_id_for_seq(n.seq).is_none() {
+                    hook_unbound.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            true
+        }));
+
+        let pi = ProcessInstanceId(1);
+        let c = f.contexts.create("C", Some((P, pi)));
+        attach_event_sources(
+            &f.engine,
+            &InstanceStore::new(
+                Arc::new(f.clock.clone()),
+                Arc::new(cmi_core::repository::SchemaRepository::new()),
+            ),
+            &f.contexts,
+        );
+        for v in 0..8 {
+            f.contexts.set_field(c, "f", Value::Int(v)).unwrap();
+        }
+        assert_eq!(f.engine.queue().pending_for(u), 8);
+        assert!(seen.load(Ordering::Relaxed) >= 8, "the hook saw every enqueue");
+        assert_eq!(
+            unbound.load(Ordering::Relaxed),
+            0,
+            "a visible notification of a traced detection always has its trace id"
+        );
     }
 }

@@ -541,7 +541,21 @@ impl DeliveryQueue {
     /// Enqueues a notification for its recipient, assigning the sequence
     /// number and logging before making it visible. Returns the sequence
     /// number.
-    pub fn enqueue(&self, mut n: Notification) -> std::io::Result<u64> {
+    pub fn enqueue(&self, n: Notification) -> std::io::Result<u64> {
+        self.enqueue_bound(n, |_| {})
+    }
+
+    /// [`DeliveryQueue::enqueue`], running `bind` with the assigned sequence
+    /// number after it is logged and *before* the notification is visible to
+    /// `fetch` or to an enqueue hook: whatever a consumer looks up by
+    /// sequence number (the detection's trace id) is in place by the time it
+    /// can see the notification. `bind` runs under the queue's state lock and
+    /// must not call back into the queue.
+    pub fn enqueue_bound(
+        &self,
+        mut n: Notification,
+        bind: impl FnOnce(u64),
+    ) -> std::io::Result<u64> {
         let user = n.user;
         let seq = {
             let mut state = self.state.lock();
@@ -549,6 +563,7 @@ impl DeliveryQueue {
             state.next_seq += 1;
             self.append(&WalRecord::Event(n.clone()))?;
             let seq = n.seq;
+            bind(seq);
             state.pending.entry(n.user).or_default().push_back(n);
             seq
         };

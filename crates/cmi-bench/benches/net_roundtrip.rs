@@ -43,10 +43,8 @@ fn system() -> (Arc<CmiServer>, UserId) {
     (cmi, alice)
 }
 
-/// A fast-tick config so push latency reflects the wire, not the idle poll.
 fn bench_config() -> NetConfig {
     NetConfig {
-        tick: std::time::Duration::from_millis(1),
         push_window: 64,
         ..NetConfig::default()
     }

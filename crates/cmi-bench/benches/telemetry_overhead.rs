@@ -43,7 +43,7 @@ use cmi_events::sharded::ShardedEngine;
 use cmi_events::spec::{CompositeEventSpec, SpecBuilder};
 use cmi_fed::testkit::LoopbackCluster;
 use cmi_net::client::ClientConfig;
-use cmi_net::server::{NetBackend, NetConfig};
+use cmi_net::server::NetConfig;
 use cmi_obs::metrics::LATENCY_BUCKETS_NS;
 use cmi_obs::ObsRegistry;
 
@@ -218,7 +218,6 @@ fn scrape_arms(c: &mut Criterion) {
         .unwrap();
     };
     let net_cfg = NetConfig {
-        backend: NetBackend::Blocking,
         idle_timeout: Duration::from_secs(30),
         ..NetConfig::default()
     };

@@ -137,12 +137,11 @@ fn run_arm(nodes: usize, throughput_events: usize, latency_samples: usize) -> Ar
     };
 
     // --- ingest throughput: aggregate cluster intake ------------------------
-    // A dedicated cluster with the default (coarse) session tick: no client
-    // is connected, so nothing needs push pacing and the per-node session
-    // threads stay parked. Injector threads are spread across the nodes
-    // (thread t injects at node t mod N), each keeping a deep queue of open
-    // route handles: the links aggregate the concurrent submissions into
-    // multi-event batches and keep a window of them in flight.
+    // A dedicated cluster with no client connected. Injector threads are
+    // spread across the nodes (thread t injects at node t mod N), each
+    // keeping a deep queue of open route handles: the links aggregate the
+    // concurrent submissions into multi-event batches and keep a window of
+    // them in flight.
     //
     // Locality is controlled, not emergent: every injector alternates
     // between an instance its ingress node owns and one a peer owns, so
@@ -214,15 +213,10 @@ fn run_arm(nodes: usize, throughput_events: usize, latency_samples: usize) -> Ar
     let (ingest_eps, forwarded_share) = reps[2];
 
     // --- notification latency: inject-one, receive-one ---------------------
-    // A fresh, quiet cluster with a 1 ms session tick (pushes flush on the
-    // tick, and the default 10 ms would swamp both latency arms with pacing
-    // delay). The Nagle rule flushes each lone probe immediately on the
-    // idle link, so the positive batch deadline costs the probes nothing.
-    let net_cfg = NetConfig {
-        tick: Duration::from_millis(1),
-        ..NetConfig::default()
-    };
-    let cluster = LoopbackCluster::start_with(nodes, net_cfg, fed_cfg, &setup);
+    // A fresh, quiet cluster. The Nagle rule flushes each lone probe
+    // immediately on the idle link, so the positive batch deadline costs
+    // the probes nothing.
+    let cluster = LoopbackCluster::start_with(nodes, NetConfig::default(), fed_cfg, &setup);
     let watcher = cluster
         .connect(0, "watch", ClientConfig::default())
         .unwrap();

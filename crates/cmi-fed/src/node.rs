@@ -1807,7 +1807,6 @@ impl FedCore {
             return Response::Fenced { epoch: mine };
         }
         let mut processed = 0u64;
-        let mut load_deltas: Vec<(UserId, i32)> = Vec::new();
         for (origin_seq, hops, n, trace) in notes {
             if self
                 .seen_notes
@@ -1845,13 +1844,10 @@ impl FedCore {
                     }
                 }
             }
-            // Enqueue locally (fresh local sequence number). Only a durable
-            // enqueue marks the key seen, so an I/O failure here leaves the
-            // retransmit path open.
-            if let Ok(seq) = self.cmi.awareness().queue().enqueue(n.clone()) {
-                // Splice the sign-on hop onto the carried lineage and bind
-                // the *local* queue seq, so the push/ack stamps land on the
-                // cross-node trace like any locally detected notification.
+            // Splice the sign-on hop onto the carried lineage and bind the
+            // *local* queue seq, so the push/ack stamps land on the
+            // cross-node trace like any locally detected notification.
+            let bind = |seq| {
                 if *trace != 0 {
                     let tracer = self.cmi.obs().tracer();
                     tracer.open_segment(
@@ -1863,16 +1859,23 @@ impl FedCore {
                     tracer.stage(*trace, "route-recv");
                     tracer.bind_seq(seq, *trace);
                 }
-                load_deltas.push((user, 1));
+            };
+            // Enqueue locally (fresh local sequence number). The trace is
+            // bound and the recipient's load charged *before* the
+            // notification is published: the enqueue wakes the subscriber's
+            // session, whose push stamps the trace by seq and whose client's
+            // ack discharges the load (saturating at zero) — either can
+            // happen before `enqueue_bound` returns. Only a durable enqueue
+            // marks the key seen, so an I/O failure here leaves the
+            // retransmit path open.
+            let _ = self.cmi.directory().adjust_load(user, 1);
+            if self.cmi.awareness().queue().enqueue_bound(n.clone(), bind).is_ok() {
                 m.remote_enqueued.inc();
                 self.mark_note_seen(origin, *origin_seq);
                 processed += 1;
+            } else {
+                let _ = self.cmi.directory().adjust_load(user, -1);
             }
-        }
-        if !load_deltas.is_empty() {
-            // One sharded bulk update per batch, not one lock round-trip per
-            // note — the receiving side of the delivery path stays O(shards).
-            self.cmi.directory().adjust_loads(&load_deltas);
         }
         Response::Count(processed)
     }

@@ -22,11 +22,10 @@
 //!   [`cmi_awareness::system::CmiServer`]: sign-on drives
 //!   `Directory::set_signed_on`, notifications are pushed under a bounded
 //!   per-session window (slow consumers degrade to the persistent queue),
-//!   idle sessions are reaped, shutdown drains gracefully. Two backends
-//!   share the protocol logic: the original thread-per-connection
-//!   [`server::NetBackend::Blocking`] loop, and the event-driven
-//!   [`server::NetBackend::Reactor`] pool that multiplexes every session
-//!   over a small fixed set of event-loop threads,
+//!   idle sessions are reaped, shutdown drains gracefully. One engine: a
+//!   small fixed pool of event-loop threads multiplexes every session
+//!   (Unix-only, like the reactor; codec, wire, transport and client are
+//!   portable),
 //! * [`client`] — typed clients ([`client::WorklistClient`],
 //!   [`client::MonitorClient`], [`client::ViewerClient`]) mirroring the
 //!   in-process APIs, with heartbeats and transparent reconnect-with-resume
@@ -41,6 +40,7 @@ pub mod window;
 pub mod transport;
 #[cfg(unix)]
 pub mod reactor;
+#[cfg(unix)]
 pub mod server;
 pub mod client;
 
@@ -48,5 +48,6 @@ pub use client::{
     ClientConfig, ClientStats, Connection, MonitorClient, ServerTelemetry, SwapOutcome,
     ViewerClient, WorklistClient,
 };
+#[cfg(unix)]
 pub use server::{NetBackend, NetConfig, NetServer, NetStats};
 pub use transport::{LoopbackConnector, TcpAcceptor};

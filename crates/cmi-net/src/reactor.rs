@@ -1,5 +1,5 @@
 //! A vendored mini-reactor: readiness polling, userspace wakeups, and a
-//! timer wheel — the machinery behind the event-driven session backend.
+//! timer wheel — the machinery behind the session server.
 //!
 //! The build environment has no crates registry, so rather than pulling in
 //! `mio`/`polling` this module talks to the kernel directly (the same

@@ -1,25 +1,19 @@
 //! The CMI network server: the server half of the Fig. 5 client/server
 //! split.
 //!
-//! A [`NetServer`] fronts a [`CmiServer`] behind any [`Listener`]. Two
-//! session engines share one protocol implementation ([`SessionCore`], an
-//! I/O-free state machine that consumes decoded frames and emits encoded
-//! bytes into an out-buffer):
+//! A [`NetServer`] fronts a [`CmiServer`] behind any [`Listener`]. The
+//! server is event-driven and Unix-only (`epoll` on Linux, `poll(2)` on
+//! other Unix — see [`crate::reactor`]): every connection is switched to
+//! non-blocking mode and owned by one of a small fixed pool of event-loop
+//! threads, the first of which also owns the listener. Readiness events
+//! feed decoded frames to the per-session protocol state machine
+//! ([`SessionCore`], which performs no I/O and emits encoded bytes into an
+//! out-buffer), write interest is toggled around the bounded push window, a
+//! timer wheel holds the idle deadlines, and the persistent queue's enqueue
+//! hook wakes the loops exactly when there is push work. Nothing polls on a
+//! timer.
 //!
-//! * [`NetBackend::Blocking`] — the original thread-per-connection engine:
-//!   an accept thread hands each connection to its own session thread,
-//!   which multiplexes request handling, notification push, heartbeat
-//!   bookkeeping and idle timeout over a single timeout-polled read loop.
-//! * [`NetBackend::Reactor`] — an event-driven engine: every connection is
-//!   switched to non-blocking mode and registered with one of a small fixed
-//!   pool of event-loop threads (see [`crate::reactor`]). Readiness events
-//!   drive the same state machine, write interest is toggled around the
-//!   bounded push window, a timer wheel replaces per-session idle
-//!   sleep-polling, and the persistent queue's enqueue hook replaces
-//!   tick-polling for push work.
-//!
-//! Robustness properties, by construction (and identical across backends —
-//! the protocol logic is literally the same code):
+//! Robustness properties, by construction:
 //!
 //! * **Sign-on is observable** — `Hello` / `SignOff` / disconnect drive
 //!   [`Directory::set_signed_on`] through a per-user reference count, so the
@@ -33,16 +27,16 @@
 //! * **No duplicate acknowledgement** — a session acks only sequence numbers
 //!   it currently has in flight, so replayed or raced `AckNotifs` requests
 //!   cannot double-ack (and cannot double-decrement the user's load figure).
-//! * **Graceful drain** — shutdown stops the acceptor, lets every session
+//! * **Graceful drain** — shutdown closes the listener, lets every session
 //!   flush its pending writes, sends `Goodbye`, signs users off and joins
-//!   all threads.
+//!   the event loops.
 //!
 //! [`Directory::set_signed_on`]: cmi_core::directory::Directory::set_signed_on
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -52,37 +46,28 @@ use cmi_awareness::viewer::AwarenessViewer;
 use cmi_core::ids::UserId;
 use cmi_coord::monitor::ProcessMonitor;
 use cmi_coord::worklist::Worklist;
-use cmi_obs::{Counter, FlightKind, ObsRegistry};
+use cmi_obs::{Counter, FlightKind, Gauge, Histogram, ObsRegistry, LATENCY_BUCKETS_NS};
 
 use crate::codec::{encode_frame, Frame, FrameKind, FrameReader};
+use crate::reactor::{Event, Interest, Poller, TimerWheel, WakeQueue};
 use crate::transport::{
-    loopback, Listener, LoopbackConnector, NetStream, TcpAcceptor,
+    loopback, EventSource, Listener, LoopbackConnector, NetStream, PipeSignal, TcpAcceptor,
 };
 use crate::window::SendWindow;
 use crate::wire::{encode_push, Request, Response};
 
-/// Which engine drives accepted sessions.
+/// The session engine. There is one; the frozen benchmark harness
+/// (`ledger/`) names this enum, and the next `benchmark` PR drops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetBackend {
-    /// One OS thread per session with a timeout-polled read loop. Simple,
-    /// and the right choice for small deployments or debugging — every
-    /// session is an independent stack trace.
+    /// The event-loop pool described in the module docs.
     #[default]
-    Blocking,
-    /// A fixed pool of event-loop threads multiplexing all sessions through
-    /// readiness polling (`epoll` on Linux, `poll` elsewhere on Unix).
-    /// Scales to tens of thousands of connections. On platforms without the
-    /// reactor (non-Unix) this silently degrades to `Blocking`.
     Reactor,
 }
 
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Blocking backend: how often a session checks for push work /
-    /// shutdown between reads. (The reactor backend is event-driven and
-    /// does not tick.)
-    pub tick: Duration,
     /// A session with no inbound frame for this long is closed (the client
     /// heartbeat must be comfortably shorter).
     pub idle_timeout: Duration,
@@ -92,21 +77,21 @@ pub struct NetConfig {
     pub push_window: usize,
     /// Hard cap on concurrent sessions; connections beyond it are refused.
     pub max_sessions: usize,
-    /// The session engine. See [`NetBackend`].
+    /// Carries no information: the frozen benchmark harness (`ledger/`)
+    /// names this field, and the next `benchmark` PR drops it.
     pub backend: NetBackend,
-    /// Reactor backend: number of event-loop threads. Sessions are assigned
-    /// round-robin at accept time.
+    /// Number of event-loop threads. Sessions are assigned round-robin at
+    /// accept time.
     pub reactor_threads: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            tick: Duration::from_millis(10),
             idle_timeout: Duration::from_secs(5),
             push_window: 32,
             max_sessions: 1024,
-            backend: NetBackend::Blocking,
+            backend: NetBackend::Reactor,
             reactor_threads: 2,
         }
     }
@@ -127,24 +112,17 @@ mod series {
     pub const IDLE_TIMEOUTS: &str = "cmi_net_idle_timeouts";
     pub const SLOW_CONSUMER_PARKS: &str = "cmi_net_slow_consumer_parks";
     pub const REFUSED_SESSIONS: &str = "cmi_net_refused_sessions";
-    /// Reactor backend: event-loop iterations across all loops.
-    #[cfg(unix)]
+    /// Event-loop iterations across all loops.
     pub const REACTOR_LOOP_ITERATIONS: &str = "cmi_reactor_loop_iterations";
-    /// Reactor backend: poll wakeups that delivered at least one readiness
-    /// event (the batch count; divide ready events by this for batch size).
-    #[cfg(unix)]
+    /// Poll wakeups that delivered at least one readiness event (the batch
+    /// count; divide ready events by this for batch size).
     pub const REACTOR_READY_BATCHES: &str = "cmi_reactor_ready_batches";
-    /// Reactor backend: readiness events delivered.
-    #[cfg(unix)]
+    /// Readiness events delivered.
     pub const REACTOR_READY_EVENTS: &str = "cmi_reactor_ready_events";
-    /// Reactor backend: sessions currently owned, gauged per loop
-    /// (label `worker`).
-    #[cfg(unix)]
+    /// Sessions currently owned, gauged per loop (label `worker`).
     pub const REACTOR_SESSIONS: &str = "cmi_reactor_sessions";
-    /// Reactor backend: latency from a cross-thread wakeup submission
-    /// (queue enqueue hook, pipe readiness edge) to the owning loop
-    /// picking it up.
-    #[cfg(unix)]
+    /// Latency from a cross-thread wakeup submission (queue enqueue hook,
+    /// pipe readiness edge) to the owning loop picking it up.
     pub const REACTOR_WAKEUP_NS: &str = "cmi_reactor_wakeup_ns";
 }
 
@@ -244,10 +222,6 @@ struct Inner {
     /// Sessions signed on per user; `set_signed_on` toggles on 0↔1 edges.
     signons: Mutex<BTreeMap<UserId, usize>>,
     live_sessions: AtomicU64,
-    /// Blocking backend only: live session thread handles (finished ones
-    /// are reaped on every accept). The reactor backend has no per-session
-    /// threads.
-    session_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     transport_label: String,
     /// Federation hooks, when this server is a cluster node.
     fed: Option<Arc<dyn FederationHooks>>,
@@ -307,9 +281,9 @@ impl Inner {
 /// The network front of a [`CmiServer`].
 pub struct NetServer {
     inner: Arc<Inner>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    #[cfg(unix)]
-    pool: Option<reactor_backend::ReactorPool>,
+    /// Submission side of every event loop.
+    handles: Arc<Vec<LoopHandle>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -324,13 +298,9 @@ impl NetServer {
     pub fn serve_with_federation(
         cmi: Arc<CmiServer>,
         listener: Box<dyn Listener>,
-        mut cfg: NetConfig,
+        cfg: NetConfig,
         fed: Option<Arc<dyn FederationHooks>>,
     ) -> NetServer {
-        if !cfg!(unix) {
-            // The vendored reactor has no Windows realization; degrade.
-            cfg.backend = NetBackend::Blocking;
-        }
         let obs = Arc::clone(cmi.obs());
         let stats = StatCounters::new(&obs);
         let inner = Arc::new(Inner {
@@ -341,53 +311,55 @@ impl NetServer {
             stats,
             signons: Mutex::new(BTreeMap::new()),
             live_sessions: AtomicU64::new(0),
-            session_threads: Mutex::new(Vec::new()),
             transport_label: listener.label(),
             fed,
         });
-        // Readiness-based accept: under the reactor backend, a listener
-        // that can signal accept readiness (a pollable descriptor, or a
-        // waker on descriptor-less transports) is owned by the first event
-        // loop — there is no accept thread and no tick-polling at all. The
-        // blocking backend, and listeners without a readiness source, keep
-        // the polling accept thread.
-        #[cfg_attr(not(unix), allow(unused_mut))]
-        let mut acceptor: Option<Box<dyn Listener>> = Some(listener);
-        #[cfg(unix)]
-        let pool = match inner.cfg.backend {
-            NetBackend::Reactor => {
-                let readiness = acceptor
-                    .as_ref()
-                    .is_some_and(|l| l.accept_fd().is_some() || l.supports_accept_waker());
-                Some(reactor_backend::ReactorPool::start(
-                    inner.clone(),
-                    if readiness { acceptor.take() } else { None },
-                ))
-            }
-            NetBackend::Blocking => None,
-        };
-        #[cfg(unix)]
-        let dispatch = match &pool {
-            Some(p) => Dispatch::Reactor {
-                handles: p.handles.clone(),
-                next: 0,
-            },
-            None => Dispatch::Blocking,
-        };
-        #[cfg(not(unix))]
-        let dispatch = Dispatch::Blocking;
-        let accept_thread = acceptor.map(|listener| {
-            let accept_inner = inner.clone();
-            std::thread::Builder::new()
-                .name("cmi-net-accept".into())
-                .spawn(move || accept_loop(accept_inner, listener, dispatch))
-                .expect("spawn accept thread")
-        });
+        // Every loop sees the full handle vector before any loop runs, so
+        // the accepting loop can distribute sessions immediately.
+        let handles: Arc<Vec<LoopHandle>> = Arc::new(
+            (0..inner.cfg.reactor_threads.max(1))
+                .map(|_| LoopHandle {
+                    cmds: Arc::new(WakeQueue::new()),
+                    poller: Arc::new(Poller::new().expect("create poller")),
+                })
+                .collect(),
+        );
+        // The first loop owns the listener: accept readiness is just another
+        // poll event, and accepted sessions are dealt round-robin across all
+        // loops.
+        let mut listener = Some(listener);
+        let threads = (0..handles.len())
+            .map(|i| {
+                let event_loop = EventLoop::new(inner.clone(), handles.clone(), i, listener.take());
+                std::thread::Builder::new()
+                    .name(format!("cmi-net-loop-{i}"))
+                    .spawn(move || event_loop.run())
+                    .expect("spawn event loop")
+            })
+            .collect();
+        // Hook the persistent queue's enqueue edge into loop wakeups: the
+        // loops are kicked exactly when there is push work. The hook holds
+        // only a weak reference so it unsubscribes itself once this server
+        // is gone.
+        let weak: Weak<Vec<LoopHandle>> = Arc::downgrade(&handles);
+        inner
+            .cmi
+            .awareness()
+            .queue()
+            .subscribe_enqueue(Box::new(move |user| match weak.upgrade() {
+                Some(handles) => {
+                    let t0 = Instant::now();
+                    for h in handles.iter() {
+                        h.submit(LoopCmd::PushWork(user, t0));
+                    }
+                    true
+                }
+                None => false,
+            }));
         NetServer {
             inner,
-            accept_thread,
-            #[cfg(unix)]
-            pool,
+            handles,
+            threads,
         }
     }
 
@@ -449,12 +421,6 @@ impl NetServer {
         &self.inner.obs
     }
 
-    /// The session engine actually in effect (the configured one, except on
-    /// platforms where the reactor is unavailable).
-    pub fn backend(&self) -> NetBackend {
-        self.inner.cfg.backend
-    }
-
     /// Number of currently live sessions.
     pub fn session_count(&self) -> usize {
         self.inner.live_sessions.load(Ordering::Relaxed) as usize
@@ -466,29 +432,22 @@ impl NetServer {
     }
 
     /// The Fig. 5 component diagram of the fronted [`CmiServer`] extended
-    /// with the live transport wiring (listener, backend, sessions, push
-    /// stats).
+    /// with the live transport wiring (listener, event loops, sessions,
+    /// push stats).
     pub fn architecture_diagram(&self) -> String {
         let base = self.inner.cmi.architecture_diagram();
         let stats = self.stats();
-        let backend = match self.inner.cfg.backend {
-            NetBackend::Blocking => "blocking (thread per session)".to_owned(),
-            NetBackend::Reactor => format!(
-                "reactor ({} event loops)",
-                self.inner.cfg.reactor_threads.max(1)
-            ),
-        };
         let net = format!(
             "Transport (cmi-net)\n\
              ├─ listener           : {} (wire protocol v{}, {}-byte frame header)\n\
-             ├─ backend            : {}\n\
+             ├─ event loops        : {}\n\
              ├─ sessions           : {} live / {} opened ({} signed-on users)\n\
              ├─ delivery push      : {} pushed, {} acked, {} parked on slow consumers\n\
              └─ robustness         : {} protocol errors rejected, {} idle timeouts\n",
             self.inner.transport_label,
             crate::codec::VERSION,
             crate::codec::HEADER_LEN,
-            backend,
+            self.handles.len(),
             self.session_count(),
             stats.sessions_opened,
             self.inner.signons.lock().len(),
@@ -507,7 +466,7 @@ impl NetServer {
     }
 
     /// Stops accepting, drains and closes every session (each sends
-    /// `Goodbye` after flushing), signs users off, and joins all threads.
+    /// `Goodbye` after flushing), signs users off, and joins the loops.
     pub fn shutdown(mut self) -> NetStats {
         self.stop_and_join();
         self.stats()
@@ -515,20 +474,21 @@ impl NetServer {
 
     fn stop_and_join(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
-        if let Some(pool) = &self.pool {
-            pool.wake_all();
+        for h in self.handles.iter() {
+            h.poller.wake();
         }
-        if let Some(t) = self.accept_thread.take() {
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        #[cfg(unix)]
-        if let Some(pool) = self.pool.take() {
-            pool.stop(&self.inner);
-        }
-        let threads: Vec<_> = self.inner.session_threads.lock().drain(..).collect();
-        for t in threads {
-            let _ = t.join();
+        // Close (with accounting) any connection the accepting loop dealt
+        // to a loop that had already exited.
+        for h in self.handles.iter() {
+            for cmd in h.cmds.drain() {
+                if let LoopCmd::NewSession(stream) = cmd {
+                    stream.shutdown_stream();
+                    self.inner.session_closed();
+                }
+            }
         }
     }
 }
@@ -539,20 +499,7 @@ impl Drop for NetServer {
     }
 }
 
-/// How the accept loop hands off connections.
-enum Dispatch {
-    /// Spawn a dedicated session thread (reaping finished ones first).
-    Blocking,
-    /// Round-robin across the reactor's event loops.
-    #[cfg(unix)]
-    Reactor {
-        handles: Arc<Vec<reactor_backend::LoopHandle>>,
-        next: usize,
-    },
-}
-
-/// Admission control shared by the polling accept thread and the reactor's
-/// readiness-based accept: either counts the session as opened and live
+/// Admission control: either counts the session as opened and live
 /// (returning `true`), or refuses it with accounting (the caller then
 /// shuts the stream down).
 fn admit_session(inner: &Inner) -> bool {
@@ -573,57 +520,6 @@ fn admit_session(inner: &Inner) -> bool {
     true
 }
 
-fn accept_loop(inner: Arc<Inner>, listener: Box<dyn Listener>, mut dispatch: Dispatch) {
-    let tick = inner.cfg.tick.max(Duration::from_millis(1));
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.poll_accept(tick) {
-            Ok(Some(stream)) => {
-                if !admit_session(&inner) {
-                    stream.shutdown_stream();
-                    continue;
-                }
-                match &mut dispatch {
-                    Dispatch::Blocking => {
-                        // Reap finished session threads first: a long-lived
-                        // server would otherwise accumulate one JoinHandle
-                        // per session it ever served. Joining a finished
-                        // thread is instantaneous.
-                        {
-                            let mut threads = inner.session_threads.lock();
-                            let mut i = 0;
-                            while i < threads.len() {
-                                if threads[i].is_finished() {
-                                    let _ = threads.swap_remove(i).join();
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                        }
-                        let session_inner = inner.clone();
-                        let handle = std::thread::Builder::new()
-                            .name("cmi-net-session".into())
-                            .spawn(move || {
-                                blocking_session(session_inner.clone(), stream);
-                                session_inner.session_closed();
-                            })
-                            .expect("spawn session thread");
-                        inner.session_threads.lock().push(handle);
-                    }
-                    #[cfg(unix)]
-                    Dispatch::Reactor { handles, next } => {
-                        let h = &handles[*next % handles.len()];
-                        *next = next.wrapping_add(1);
-                        h.submit(reactor_backend::LoopCmd::NewSession(stream));
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(_) => break, // listener closed
-        }
-    }
-    listener.close();
-}
-
 /// Why a session ended.
 enum Exit {
     PeerClosed,
@@ -632,11 +528,10 @@ enum Exit {
     Drain,
 }
 
-/// The per-session protocol state machine, shared verbatim by both
-/// backends. It performs no I/O: complete inbound frames are fed to
-/// [`SessionCore::handle_frame`], and every outbound frame is appended to
-/// [`SessionCore::out`] for the owning engine to write (immediately, in the
-/// blocking engine; on writability, in the reactor).
+/// The per-session protocol state machine. It performs no I/O: complete
+/// inbound frames are fed to [`SessionCore::handle_frame`], and every
+/// outbound frame is appended to [`SessionCore::out`] for the owning event
+/// loop to write as the stream accepts it.
 struct SessionCore {
     inner: Arc<Inner>,
     /// Set by a successful `Hello`.
@@ -994,715 +889,519 @@ impl SessionCore {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking backend: one thread per session, timeout-polled reads
+// The event loops: a fixed pool multiplexing all sessions
 // ---------------------------------------------------------------------------
 
-/// Runs one session to completion on the calling (dedicated) thread.
-fn blocking_session(inner: Arc<Inner>, stream: Box<dyn NetStream>) {
-    let mut core = SessionCore::new(inner);
-    let exit = blocking_serve(&mut core, stream);
-    core.finish(exit);
+/// Timer-wheel entry kind: per-session idle deadline.
+const TIMER_IDLE: u32 = 0;
+
+/// Upper bound on a loop's park time, so a lost wakeup degrades to a
+/// short stall instead of a hang.
+const MAX_PARK: Duration = Duration::from_millis(500);
+
+/// Poller token reserved for the listener's accept readiness (the
+/// poller itself reserves `u64::MAX` for wakeups; session tokens count
+/// up from zero and can never collide).
+const ACCEPT_TOKEN: u64 = u64::MAX - 1;
+
+/// Cross-thread work submitted to one event loop.
+enum LoopCmd {
+    /// A freshly accepted connection (already counted as opened/live).
+    NewSession(Box<dyn NetStream>),
+    /// The persistent queue enqueued a notification for this user; any
+    /// subscribed session of theirs owned by this loop should push.
+    PushWork(UserId, Instant),
+    /// A loopback pipe's readable-edge waker fired for this session.
+    PipeReady(u64, Instant),
+    /// The listener's accept waker fired (descriptor-less transports).
+    AcceptReady(Instant),
 }
 
-/// Writes everything queued in `core.out` (blocking).
-fn blocking_flush(core: &mut SessionCore, writer: &mut Box<dyn NetStream>) -> io::Result<()> {
-    if !core.out.is_empty() {
-        writer.write_all(&core.out)?;
-        writer.flush()?;
-        core.out.clear();
-    }
-    Ok(())
+/// The submission side of one event loop (shared with the accepting loop
+/// and the queue's enqueue hook).
+struct LoopHandle {
+    cmds: Arc<WakeQueue<LoopCmd>>,
+    poller: Arc<Poller>,
 }
 
-/// Read-timeout floor for sessions with no push subscription. The tick
-/// exists to pace push flushing; a session that never subscribed has no
-/// push work, and incoming request data wakes the read immediately
-/// regardless of the timeout — so peer links and request-only clients
-/// idle at a coarse cadence instead of tick-spinning. Stop-flag notice
-/// worst-cases at this floor, but shutdown also shuts the streams down,
-/// which wakes the read instantly.
-const IDLE_READ_FLOOR: Duration = Duration::from_millis(5);
-
-fn blocking_serve(core: &mut SessionCore, stream: Box<dyn NetStream>) -> Exit {
-    let Ok(mut writer) = stream.try_clone_stream() else {
-        return Exit::PeerClosed;
-    };
-    let mut reader: Box<dyn NetStream> = stream;
-    let live_tick = core.inner.cfg.tick;
-    let idle_tick = live_tick.max(IDLE_READ_FLOOR);
-    let mut read_tick = if core.subscribed { live_tick } else { idle_tick };
-    if reader.set_stream_read_timeout(Some(read_tick)).is_err() {
-        return Exit::PeerClosed;
-    }
-    let mut frames = FrameReader::new();
-    let mut last_activity = Instant::now();
-    loop {
-        if core.inner.stop.load(Ordering::SeqCst) {
-            // Graceful drain: pending pushes were flushed each pass, so a
-            // Goodbye is all that remains.
-            core.queue_frame(FrameKind::Goodbye, &[]);
-            let _ = blocking_flush(core, &mut writer);
-            reader.shutdown_stream();
-            return Exit::Drain;
-        }
-        match frames.poll(&mut *reader) {
-            Ok(Some(frame)) => {
-                core.inner.stats.frames_in.inc();
-                last_activity = Instant::now();
-                match core.handle_frame(frame) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        let _ = blocking_flush(core, &mut writer);
-                        return Exit::PeerClosed; // client Goodbye
-                    }
-                    Err(exit) => return exit,
-                }
-            }
-            Ok(None) => {}
-            Err(e) => {
-                return if e.kind() == io::ErrorKind::InvalidData {
-                    Exit::Protocol
-                } else {
-                    Exit::PeerClosed
-                };
-            }
-        }
-        core.push_pending();
-        if blocking_flush(core, &mut writer).is_err() {
-            return Exit::PeerClosed;
-        }
-        // Subscribing (or unsubscribing) moves the session between the
-        // tick-paced push cadence and the coarse idle cadence.
-        let want = if core.subscribed { live_tick } else { idle_tick };
-        if want != read_tick && reader.set_stream_read_timeout(Some(want)).is_ok() {
-            read_tick = want;
-        }
-        if last_activity.elapsed() > core.inner.cfg.idle_timeout {
-            core.queue_frame(FrameKind::Goodbye, &[]);
-            let _ = blocking_flush(core, &mut writer);
-            reader.shutdown_stream();
-            return Exit::IdleTimeout;
-        }
+impl LoopHandle {
+    fn submit(&self, cmd: LoopCmd) {
+        self.cmds.push(cmd);
+        self.poller.wake();
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reactor backend: a fixed pool of event loops multiplexing all sessions
-// ---------------------------------------------------------------------------
+/// One session as owned by an event loop.
+struct Session {
+    core: SessionCore,
+    /// The sole stream handle, in non-blocking mode; the loop both
+    /// reads and writes it (single-threaded, so no writer lock).
+    stream: Box<dyn NetStream>,
+    frames: FrameReader,
+    /// Kernel-pollable sources register this fd with the poller.
+    fd: Option<i32>,
+    /// Loopback pipes install a waker instead; kept to clear on close.
+    signal: Option<PipeSignal>,
+    /// Currently armed interest (fd sources only).
+    interest: Interest,
+    last_activity: Instant,
+    /// The user this session is filed under in the loop's push index.
+    indexed_user: Option<UserId>,
+}
 
-#[cfg(unix)]
-mod reactor_backend {
-    use super::*;
-    use std::sync::Weak;
+/// One event-loop thread: readiness events, userspace wakeups and the
+/// timer wheel drive every session state machine this loop owns.
+struct EventLoop {
+    inner: Arc<Inner>,
+    poller: Arc<Poller>,
+    cmds: Arc<WakeQueue<LoopCmd>>,
+    sessions: BTreeMap<u64, Session>,
+    /// Sessions by signed-on user, for targeted push wakeups.
+    by_user: BTreeMap<UserId, BTreeSet<u64>>,
+    wheel: TimerWheel,
+    next_token: u64,
+    /// This loop's position in `handles` (self-dispatch shortcut).
+    index: usize,
+    /// Submission handles of every loop, for round-robin accept.
+    handles: Arc<Vec<LoopHandle>>,
+    /// Readiness accept: the listener this loop owns, if any.
+    listener: Option<Box<dyn Listener>>,
+    /// Round-robin cursor over `handles` for accepted sessions.
+    next_dispatch: usize,
+    iterations: Counter,
+    ready_batches: Counter,
+    ready_events: Counter,
+    sessions_gauge: Gauge,
+    wakeup_ns: Histogram,
+}
 
-    use cmi_obs::{Gauge, Histogram, LATENCY_BUCKETS_NS};
-
-    use crate::reactor::{Event, Interest, Poller, TimerWheel, WakeQueue};
-    use crate::transport::{EventSource, PipeSignal};
-
-    /// Timer-wheel entry kind: per-session idle deadline.
-    const TIMER_IDLE: u32 = 0;
-
-    /// Upper bound on a loop's park time, so a lost wakeup degrades to a
-    /// short stall instead of a hang.
-    const MAX_PARK: Duration = Duration::from_millis(500);
-
-    /// Poller token reserved for the listener's accept readiness (the
-    /// poller itself reserves `u64::MAX` for wakeups; session tokens count
-    /// up from zero and can never collide).
-    const ACCEPT_TOKEN: u64 = u64::MAX - 1;
-
-    /// Cross-thread work submitted to one event loop.
-    pub(super) enum LoopCmd {
-        /// A freshly accepted connection (already counted as opened/live).
-        NewSession(Box<dyn NetStream>),
-        /// The persistent queue enqueued a notification for this user; any
-        /// subscribed session of theirs owned by this loop should push.
-        PushWork(UserId, Instant),
-        /// A loopback pipe's readable-edge waker fired for this session.
-        PipeReady(u64, Instant),
-        /// The listener's accept waker fired (descriptor-less transports).
-        AcceptReady(Instant),
-    }
-
-    /// The submission side of one event loop (shared with the accept
-    /// thread and the queue's enqueue hook).
-    pub(super) struct LoopHandle {
-        pub(super) cmds: Arc<WakeQueue<LoopCmd>>,
-        pub(super) poller: Arc<Poller>,
-    }
-
-    impl LoopHandle {
-        pub(super) fn submit(&self, cmd: LoopCmd) {
-            self.cmds.push(cmd);
-            self.poller.wake();
-        }
-    }
-
-    /// The running pool: handles for submission plus the loop threads.
-    pub(super) struct ReactorPool {
-        pub(super) handles: Arc<Vec<LoopHandle>>,
-        threads: Vec<std::thread::JoinHandle<()>>,
-    }
-
-    impl ReactorPool {
-        /// Starts the event loops. When `listener` is given (readiness
-        /// accept), the first loop owns it: accept readiness is just another
-        /// poll event, and accepted sessions are dealt round-robin across
-        /// all loops.
-        pub(super) fn start(
-            inner: Arc<Inner>,
-            mut listener: Option<Box<dyn Listener>>,
-        ) -> ReactorPool {
-            let n = inner.cfg.reactor_threads.max(1);
-            let mut handles = Vec::with_capacity(n);
-            let mut parts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let poller = Arc::new(Poller::new().expect("create reactor poller"));
-                let cmds: Arc<WakeQueue<LoopCmd>> = Arc::new(WakeQueue::new());
-                handles.push(LoopHandle {
-                    cmds: cmds.clone(),
-                    poller: poller.clone(),
-                });
-                parts.push((poller, cmds));
-            }
-            // Every loop sees the full handle vector before any loop runs,
-            // so the accepting loop can distribute sessions immediately.
-            let handles = Arc::new(handles);
-            let mut threads = Vec::with_capacity(n);
-            for (i, (poller, cmds)) in parts.into_iter().enumerate() {
-                let loop_inner = inner.clone();
-                let loop_handles = handles.clone();
-                let loop_listener = listener.take();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("cmi-net-loop-{i}"))
-                        .spawn(move || {
-                            EventLoop::new(loop_inner, poller, cmds, i, loop_handles, loop_listener)
-                                .run()
-                        })
-                        .expect("spawn reactor event loop"),
-                );
-            }
-            // Hook the persistent queue's enqueue edge into reactor
-            // wakeups: instead of every session tick-polling `fetch`, the
-            // loops are kicked exactly when there is push work. The hook
-            // holds only a weak reference so it unsubscribes itself once
-            // this server is gone.
-            let weak: Weak<Vec<LoopHandle>> = Arc::downgrade(&handles);
-            inner
-                .cmi
-                .awareness()
-                .queue()
-                .subscribe_enqueue(Box::new(move |user| match weak.upgrade() {
-                    Some(handles) => {
-                        let t0 = Instant::now();
-                        for h in handles.iter() {
-                            h.submit(LoopCmd::PushWork(user, t0));
-                        }
-                        true
-                    }
-                    None => false,
-                }));
-            ReactorPool { handles, threads }
-        }
-
-        /// Kicks every loop (used to make them notice the stop flag).
-        pub(super) fn wake_all(&self) {
-            for h in self.handles.iter() {
-                h.poller.wake();
-            }
-        }
-
-        /// Joins the loops, then closes (with accounting) any connection
-        /// the accept thread handed over after the loops already exited.
-        pub(super) fn stop(mut self, inner: &Arc<Inner>) {
-            self.wake_all();
-            for t in self.threads.drain(..) {
-                let _ = t.join();
-            }
-            for h in self.handles.iter() {
-                for cmd in h.cmds.drain() {
-                    if let LoopCmd::NewSession(stream) = cmd {
-                        stream.shutdown_stream();
-                        inner.session_closed();
-                    }
-                }
-            }
-        }
-    }
-
-    /// One session as owned by an event loop.
-    struct ReactorSession {
-        core: SessionCore,
-        /// The sole stream handle, in non-blocking mode; the loop both
-        /// reads and writes it (single-threaded, so no writer lock).
-        stream: Box<dyn NetStream>,
-        frames: FrameReader,
-        /// Kernel-pollable sources register this fd with the poller.
-        fd: Option<i32>,
-        /// Loopback pipes install a waker instead; kept to clear on close.
-        signal: Option<PipeSignal>,
-        /// Currently armed interest (fd sources only).
-        interest: Interest,
-        last_activity: Instant,
-        /// The user this session is filed under in the loop's push index.
-        indexed_user: Option<UserId>,
-    }
-
-    /// One event-loop thread: readiness events, userspace wakeups and the
-    /// timer wheel drive every session state machine this loop owns.
-    struct EventLoop {
+impl EventLoop {
+    fn new(
         inner: Arc<Inner>,
-        poller: Arc<Poller>,
-        cmds: Arc<WakeQueue<LoopCmd>>,
-        sessions: BTreeMap<u64, ReactorSession>,
-        /// Sessions by signed-on user, for targeted push wakeups.
-        by_user: BTreeMap<UserId, BTreeSet<u64>>,
-        wheel: TimerWheel,
-        next_token: u64,
-        /// This loop's position in `handles` (self-dispatch shortcut).
-        index: usize,
-        /// Submission handles of every loop, for round-robin accept.
         handles: Arc<Vec<LoopHandle>>,
-        /// Readiness accept: the listener this loop owns, if any.
+        index: usize,
         listener: Option<Box<dyn Listener>>,
-        /// Round-robin cursor over `handles` for accepted sessions.
-        next_dispatch: usize,
-        iterations: Counter,
-        ready_batches: Counter,
-        ready_events: Counter,
-        sessions_gauge: Gauge,
-        wakeup_ns: Histogram,
+    ) -> EventLoop {
+        let obs = Arc::clone(&inner.obs);
+        let poller = handles[index].poller.clone();
+        let cmds = handles[index].cmds.clone();
+        let granularity = (inner.cfg.idle_timeout / 8)
+            .clamp(Duration::from_millis(1), Duration::from_millis(200));
+        let worker = index.to_string();
+        EventLoop {
+            iterations: obs.counter(series::REACTOR_LOOP_ITERATIONS),
+            ready_batches: obs.counter(series::REACTOR_READY_BATCHES),
+            ready_events: obs.counter(series::REACTOR_READY_EVENTS),
+            sessions_gauge: obs
+                .metrics()
+                .gauge_with(series::REACTOR_SESSIONS, &[("worker", &worker)]),
+            wakeup_ns: obs.histogram(series::REACTOR_WAKEUP_NS, LATENCY_BUCKETS_NS),
+            wheel: TimerWheel::new(64, granularity),
+            sessions: BTreeMap::new(),
+            by_user: BTreeMap::new(),
+            next_token: 0,
+            index,
+            handles,
+            listener,
+            next_dispatch: 0,
+            inner,
+            poller,
+            cmds,
+        }
     }
 
-    impl EventLoop {
-        fn new(
-            inner: Arc<Inner>,
-            poller: Arc<Poller>,
-            cmds: Arc<WakeQueue<LoopCmd>>,
-            index: usize,
-            handles: Arc<Vec<LoopHandle>>,
-            listener: Option<Box<dyn Listener>>,
-        ) -> EventLoop {
-            let obs = Arc::clone(&inner.obs);
-            let granularity = (inner.cfg.idle_timeout / 8)
-                .clamp(Duration::from_millis(1), Duration::from_millis(200));
-            let worker = index.to_string();
-            EventLoop {
-                iterations: obs.counter(series::REACTOR_LOOP_ITERATIONS),
-                ready_batches: obs.counter(series::REACTOR_READY_BATCHES),
-                ready_events: obs.counter(series::REACTOR_READY_EVENTS),
-                sessions_gauge: obs
-                    .metrics()
-                    .gauge_with(series::REACTOR_SESSIONS, &[("worker", &worker)]),
-                wakeup_ns: obs.histogram(series::REACTOR_WAKEUP_NS, LATENCY_BUCKETS_NS),
-                wheel: TimerWheel::new(64, granularity),
-                sessions: BTreeMap::new(),
-                by_user: BTreeMap::new(),
-                next_token: 0,
-                index,
-                handles,
-                listener,
-                next_dispatch: 0,
-                inner,
-                poller,
-                cmds,
-            }
-        }
-
-        /// Registers the owned listener's readiness source: the listening
-        /// descriptor with the poller, or — for descriptor-less transports —
-        /// an accept waker that submits [`LoopCmd::AcceptReady`].
-        fn install_acceptor(&mut self) {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            if let Some(fd) = listener.accept_fd() {
-                if self.poller.register(fd, ACCEPT_TOKEN, Interest::READ).is_ok() {
-                    return;
+    /// Registers the owned listener's readiness source: the listening
+    /// descriptor with the poller, or — for descriptor-less transports —
+    /// an accept waker that submits [`LoopCmd::AcceptReady`].
+    fn install_acceptor(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        match listener.accept_fd() {
+            Some(fd) => {
+                if self.poller.register(fd, ACCEPT_TOKEN, Interest::READ).is_err() {
+                    // No accept readiness will ever arrive; fail closed.
+                    self.close_listener();
                 }
             }
-            let cmds = self.cmds.clone();
-            let poller = self.poller.clone();
-            listener.set_accept_waker(Some(Arc::new(move || {
-                cmds.push(LoopCmd::AcceptReady(Instant::now()));
-                poller.wake();
-            })));
-        }
-
-        fn run(mut self) {
-            self.install_acceptor();
-            let mut events: Vec<Event> = Vec::new();
-            let mut fired: Vec<(u64, u32)> = Vec::new();
-            loop {
-                self.iterations.inc();
-                if self.inner.stop.load(Ordering::SeqCst) {
-                    self.drain_all();
-                    return;
-                }
-                for cmd in self.cmds.drain() {
-                    match cmd {
-                        LoopCmd::NewSession(stream) => self.add_session(stream),
-                        LoopCmd::PushWork(user, t0) => {
-                            self.observe_wakeup(t0);
-                            let toks: Vec<u64> = self
-                                .by_user
-                                .get(&user)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default();
-                            for tok in toks {
-                                self.push_and_flush(tok);
-                            }
-                        }
-                        LoopCmd::PipeReady(tok, t0) => {
-                            self.observe_wakeup(t0);
-                            self.service_readable(tok);
-                        }
-                        LoopCmd::AcceptReady(t0) => {
-                            self.observe_wakeup(t0);
-                            self.drain_accept();
-                        }
-                    }
-                }
-                let now = Instant::now();
-                fired.clear();
-                self.wheel.advance(now, &mut fired);
-                for &(tok, kind) in &fired {
-                    debug_assert_eq!(kind, TIMER_IDLE);
-                    self.check_idle(tok);
-                }
-                self.sessions_gauge.set(self.sessions.len() as i64);
-                events.clear();
-                let timeout = self
-                    .wheel
-                    .next_timeout(Instant::now())
-                    .unwrap_or(MAX_PARK)
-                    .min(MAX_PARK);
-                if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                    // A dead poller means no more readiness; fail closed.
-                    self.drain_all();
-                    return;
-                }
-                if !events.is_empty() {
-                    self.ready_batches.inc();
-                    self.ready_events.add(events.len() as u64);
-                }
-                for ev in &events {
-                    if ev.token == ACCEPT_TOKEN {
-                        self.drain_accept();
-                        continue;
-                    }
-                    if ev.readable {
-                        self.service_readable(ev.token);
-                    }
-                    if ev.writable {
-                        self.flush(ev.token);
-                    }
-                }
-            }
-        }
-
-        fn observe_wakeup(&self, t0: Instant) {
-            self.wakeup_ns
-                .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
-
-        /// Accepts every pending connection (readiness accept), admitting
-        /// each and dealing it round-robin across the pool — including this
-        /// loop, which adds its share directly.
-        fn drain_accept(&mut self) {
-            loop {
-                let verdict = match &self.listener {
-                    Some(listener) => listener.try_accept(),
-                    None => return,
-                };
-                match verdict {
-                    Ok(Some(stream)) => {
-                        if !admit_session(&self.inner) {
-                            stream.shutdown_stream();
-                            continue;
-                        }
-                        let i = self.next_dispatch % self.handles.len();
-                        self.next_dispatch = self.next_dispatch.wrapping_add(1);
-                        if i == self.index {
-                            self.add_session(stream);
-                        } else {
-                            self.handles[i].submit(LoopCmd::NewSession(stream));
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(_) => {
-                        // Listener closed under us; release it.
-                        self.close_listener();
-                        return;
-                    }
-                }
-            }
-        }
-
-        /// Deregisters and closes the owned listener, if any.
-        fn close_listener(&mut self) {
-            if let Some(listener) = self.listener.take() {
-                if let Some(fd) = listener.accept_fd() {
-                    let _ = self.poller.deregister(fd);
-                }
-                listener.set_accept_waker(None);
-                listener.close();
-            }
-        }
-
-        /// Registers a freshly accepted connection with this loop.
-        fn add_session(&mut self, stream: Box<dyn NetStream>) {
-            let tok = self.next_token;
-            self.next_token += 1;
-            if stream.set_nonblocking_stream(true).is_err() {
-                self.abort_session(stream, "transport lacks non-blocking mode");
-                return;
-            }
-            let (fd, signal) = match stream.event_source() {
-                Some(EventSource::Fd(fd)) => {
-                    if self.poller.register(fd, tok, Interest::READ).is_err() {
-                        self.abort_session(stream, "poller registration failed");
-                        return;
-                    }
-                    (Some(fd), None)
-                }
-                Some(EventSource::Signal(sig)) => (None, Some(sig)),
-                None => {
-                    self.abort_session(stream, "transport has no readiness source");
-                    return;
-                }
-            };
-            let now = Instant::now();
-            self.sessions.insert(
-                tok,
-                ReactorSession {
-                    core: SessionCore::new(self.inner.clone()),
-                    stream,
-                    frames: FrameReader::new(),
-                    fd,
-                    signal: None,
-                    interest: Interest::READ,
-                    last_activity: now,
-                    indexed_user: None,
-                },
-            );
-            self.wheel
-                .schedule(now + self.inner.cfg.idle_timeout, tok, TIMER_IDLE);
-            if let Some(sig) = signal {
-                // Installing the waker fires it immediately if bytes raced
-                // ahead of registration, so an eager Hello is never missed.
-                // (Kernel sources need no such care: epoll/poll interest is
-                // level-triggered.)
+            None => {
                 let cmds = self.cmds.clone();
                 let poller = self.poller.clone();
-                sig.set_waker(Some(Arc::new(move || {
-                    cmds.push(LoopCmd::PipeReady(tok, Instant::now()));
+                listener.set_accept_waker(Some(Arc::new(move || {
+                    cmds.push(LoopCmd::AcceptReady(Instant::now()));
                     poller.wake();
                 })));
-                self.sessions.get_mut(&tok).expect("just inserted").signal = Some(sig);
             }
         }
+    }
 
-        /// Closes a connection this loop could not register.
-        fn abort_session(&self, stream: Box<dyn NetStream>, why: &str) {
-            stream.shutdown_stream();
-            self.inner
-                .obs
-                .flight()
-                .record(FlightKind::SessionClose, format!("refused by reactor: {why}"));
-            self.inner.session_closed();
-        }
-
-        /// Reads until `WouldBlock`, feeding complete frames to the state
-        /// machine, then pushes pending work and flushes.
-        fn service_readable(&mut self, tok: u64) {
-            let exit;
-            {
-                let Some(s) = self.sessions.get_mut(&tok) else {
-                    return;
-                };
-                let mut verdict = None;
-                loop {
-                    match s.frames.poll(&mut *s.stream) {
-                        Ok(Some(frame)) => {
-                            self.inner.stats.frames_in.inc();
-                            s.last_activity = Instant::now();
-                            match s.core.handle_frame(frame) {
-                                Ok(true) => {}
-                                Ok(false) => {
-                                    verdict = Some(Exit::PeerClosed); // client Goodbye
-                                    break;
-                                }
-                                Err(e) => {
-                                    verdict = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(None) => break, // drained to WouldBlock
-                        Err(e) => {
-                            verdict = Some(if e.kind() == io::ErrorKind::InvalidData {
-                                Exit::Protocol
-                            } else {
-                                Exit::PeerClosed
-                            });
-                            break;
+    fn run(mut self) {
+        self.install_acceptor();
+        let mut events: Vec<Event> = Vec::new();
+        let mut fired: Vec<(u64, u32)> = Vec::new();
+        loop {
+            self.iterations.inc();
+            if self.inner.stop.load(Ordering::SeqCst) {
+                self.drain_all();
+                return;
+            }
+            for cmd in self.cmds.drain() {
+                match cmd {
+                    LoopCmd::NewSession(stream) => self.add_session(stream),
+                    LoopCmd::PushWork(user, t0) => {
+                        self.observe_wakeup(t0);
+                        let toks: Vec<u64> = self
+                            .by_user
+                            .get(&user)
+                            .map(|s| s.iter().copied().collect())
+                            .unwrap_or_default();
+                        for tok in toks {
+                            self.push_and_flush(tok);
                         }
                     }
+                    LoopCmd::PipeReady(tok, t0) => {
+                        self.observe_wakeup(t0);
+                        self.service_readable(tok);
+                    }
+                    LoopCmd::AcceptReady(t0) => {
+                        self.observe_wakeup(t0);
+                        self.drain_accept();
+                    }
                 }
-                // Acks freed window space and Subscribe wants its backlog:
-                // one push pass per readable batch covers both.
-                s.core.push_pending();
-                exit = verdict;
             }
-            self.reindex(tok);
-            match exit {
-                Some(e) => self.close_session(tok, e, false),
-                None => self.flush(tok),
+            let now = Instant::now();
+            fired.clear();
+            self.wheel.advance(now, &mut fired);
+            for &(tok, kind) in &fired {
+                debug_assert_eq!(kind, TIMER_IDLE);
+                self.check_idle(tok);
+            }
+            self.sessions_gauge.set(self.sessions.len() as i64);
+            events.clear();
+            let timeout = self
+                .wheel
+                .next_timeout(Instant::now())
+                .unwrap_or(MAX_PARK)
+                .min(MAX_PARK);
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+                // A dead poller means no more readiness; fail closed.
+                self.drain_all();
+                return;
+            }
+            if !events.is_empty() {
+                self.ready_batches.inc();
+                self.ready_events.add(events.len() as u64);
+            }
+            for ev in &events {
+                if ev.token == ACCEPT_TOKEN {
+                    self.drain_accept();
+                    continue;
+                }
+                if ev.readable {
+                    self.service_readable(ev.token);
+                }
+                if ev.writable {
+                    self.flush(ev.token);
+                }
             }
         }
+    }
 
-        /// Queues pending pushes for one session and flushes them.
-        fn push_and_flush(&mut self, tok: u64) {
-            match self.sessions.get_mut(&tok) {
-                Some(s) => s.core.push_pending(),
+    fn observe_wakeup(&self, t0: Instant) {
+        self.wakeup_ns
+            .observe(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+    }
+
+    /// Accepts every pending connection (readiness accept), admitting
+    /// each and dealing it round-robin across the pool — including this
+    /// loop, which adds its share directly.
+    fn drain_accept(&mut self) {
+        loop {
+            let verdict = match &self.listener {
+                Some(listener) => listener.try_accept(),
                 None => return,
-            }
-            self.flush(tok);
-        }
-
-        /// Writes the out-buffer until empty or `WouldBlock`, toggling
-        /// write interest for kernel sources accordingly.
-        fn flush(&mut self, tok: u64) {
-            let mut broken = false;
-            {
-                let Some(s) = self.sessions.get_mut(&tok) else {
-                    return;
-                };
-                while !s.core.out.is_empty() {
-                    match s.stream.write(&s.core.out) {
-                        Ok(0) => {
-                            broken = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            s.core.out.drain(..n);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => {
-                            broken = true;
-                            break;
-                        }
-                    }
-                }
-                let _ = s.stream.flush();
-                if let Some(fd) = s.fd {
-                    let want = if s.core.out.is_empty() {
-                        Interest::READ
-                    } else {
-                        Interest::READ_WRITE
-                    };
-                    if want != s.interest && self.poller.rearm(fd, tok, want).is_ok() {
-                        s.interest = want;
-                    }
-                }
-            }
-            if broken {
-                self.close_session(tok, Exit::PeerClosed, false);
-            }
-        }
-
-        /// Fired idle timer: close a genuinely idle session, or re-arm for
-        /// the remainder if there was activity since scheduling.
-        fn check_idle(&mut self, tok: u64) {
-            let idle = self.inner.cfg.idle_timeout;
-            let since = match self.sessions.get(&tok) {
-                Some(s) => s.last_activity.elapsed(),
-                None => return, // stale timer for a closed session
             };
-            if since >= idle {
-                self.close_session(tok, Exit::IdleTimeout, true);
-            } else {
-                self.wheel
-                    .schedule(Instant::now() + (idle - since), tok, TIMER_IDLE);
+            match verdict {
+                Ok(Some(stream)) => {
+                    if !admit_session(&self.inner) {
+                        stream.shutdown_stream();
+                        continue;
+                    }
+                    let i = self.next_dispatch % self.handles.len();
+                    self.next_dispatch = self.next_dispatch.wrapping_add(1);
+                    if i == self.index {
+                        self.add_session(stream);
+                    } else {
+                        self.handles[i].submit(LoopCmd::NewSession(stream));
+                    }
+                }
+                Ok(None) => return,
+                Err(_) => {
+                    // Listener closed under us; release it.
+                    self.close_listener();
+                    return;
+                }
             }
         }
+    }
 
-        /// Keeps the `by_user` push index in step with the session's
-        /// signed-on user (set by Hello, cleared by SignOff).
-        fn reindex(&mut self, tok: u64) {
+    /// Deregisters and closes the owned listener, if any.
+    fn close_listener(&mut self) {
+        if let Some(listener) = self.listener.take() {
+            if let Some(fd) = listener.accept_fd() {
+                let _ = self.poller.deregister(fd);
+            }
+            listener.set_accept_waker(None);
+            listener.close();
+        }
+    }
+
+    /// Registers a freshly accepted connection with this loop.
+    fn add_session(&mut self, stream: Box<dyn NetStream>) {
+        let tok = self.next_token;
+        self.next_token += 1;
+        if stream.set_nonblocking_stream(true).is_err() {
+            self.abort_session(stream, "cannot enter non-blocking mode");
+            return;
+        }
+        let (fd, signal) = match stream.event_source() {
+            EventSource::Fd(fd) => {
+                if self.poller.register(fd, tok, Interest::READ).is_err() {
+                    self.abort_session(stream, "poller registration failed");
+                    return;
+                }
+                (Some(fd), None)
+            }
+            EventSource::Signal(sig) => (None, Some(sig)),
+        };
+        let now = Instant::now();
+        self.sessions.insert(
+            tok,
+            Session {
+                core: SessionCore::new(self.inner.clone()),
+                stream,
+                frames: FrameReader::new(),
+                fd,
+                signal: None,
+                interest: Interest::READ,
+                last_activity: now,
+                indexed_user: None,
+            },
+        );
+        self.wheel
+            .schedule(now + self.inner.cfg.idle_timeout, tok, TIMER_IDLE);
+        if let Some(sig) = signal {
+            // Installing the waker fires it immediately if bytes raced
+            // ahead of registration, so an eager Hello is never missed.
+            // (Kernel sources need no such care: epoll/poll interest is
+            // level-triggered.)
+            let cmds = self.cmds.clone();
+            let poller = self.poller.clone();
+            sig.set_waker(Some(Arc::new(move || {
+                cmds.push(LoopCmd::PipeReady(tok, Instant::now()));
+                poller.wake();
+            })));
+            self.sessions.get_mut(&tok).expect("just inserted").signal = Some(sig);
+        }
+    }
+
+    /// Closes a connection this loop could not register.
+    fn abort_session(&self, stream: Box<dyn NetStream>, why: &str) {
+        stream.shutdown_stream();
+        self.inner
+            .obs
+            .flight()
+            .record(FlightKind::SessionClose, format!("refused: {why}"));
+        self.inner.session_closed();
+    }
+
+    /// Reads until `WouldBlock`, feeding complete frames to the state
+    /// machine, then pushes pending work and flushes.
+    fn service_readable(&mut self, tok: u64) {
+        let exit;
+        {
             let Some(s) = self.sessions.get_mut(&tok) else {
                 return;
             };
-            if s.indexed_user == s.core.user {
-                return;
-            }
-            if let Some(u) = s.indexed_user.take() {
-                if let Some(set) = self.by_user.get_mut(&u) {
-                    set.remove(&tok);
-                    if set.is_empty() {
-                        self.by_user.remove(&u);
+            let mut verdict = None;
+            loop {
+                match s.frames.poll(&mut *s.stream) {
+                    Ok(Some(frame)) => {
+                        self.inner.stats.frames_in.inc();
+                        s.last_activity = Instant::now();
+                        match s.core.handle_frame(frame) {
+                            Ok(true) => {}
+                            Ok(false) => {
+                                verdict = Some(Exit::PeerClosed); // client Goodbye
+                                break;
+                            }
+                            Err(e) => {
+                                verdict = Some(e);
+                                break;
+                            }
+                        }
+                    }
+                    Ok(None) => break, // drained to WouldBlock
+                    Err(e) => {
+                        verdict = Some(if e.kind() == io::ErrorKind::InvalidData {
+                            Exit::Protocol
+                        } else {
+                            Exit::PeerClosed
+                        });
+                        break;
                     }
                 }
             }
-            if let Some(u) = s.core.user {
-                self.by_user.entry(u).or_default().insert(tok);
-                s.indexed_user = Some(u);
-            }
+            // Acks freed window space and Subscribe wants its backlog:
+            // one push pass per readable batch covers both.
+            s.core.push_pending();
+            exit = verdict;
         }
+        self.reindex(tok);
+        match exit {
+            Some(e) => self.close_session(tok, e, false),
+            None => self.flush(tok),
+        }
+    }
 
-        /// Removes a session: optional Goodbye, best-effort flush,
-        /// deregistration, sign-off and accounting.
-        fn close_session(&mut self, tok: u64, exit: Exit, goodbye: bool) {
-            let Some(mut s) = self.sessions.remove(&tok) else {
+    /// Queues pending pushes for one session and flushes them.
+    fn push_and_flush(&mut self, tok: u64) {
+        match self.sessions.get_mut(&tok) {
+            Some(s) => s.core.push_pending(),
+            None => return,
+        }
+        self.flush(tok);
+    }
+
+    /// Writes the out-buffer until empty or `WouldBlock`, toggling
+    /// write interest for kernel sources accordingly.
+    fn flush(&mut self, tok: u64) {
+        let mut broken = false;
+        {
+            let Some(s) = self.sessions.get_mut(&tok) else {
                 return;
             };
-            if goodbye {
-                s.core.queue_frame(FrameKind::Goodbye, &[]);
-            }
             while !s.core.out.is_empty() {
                 match s.stream.write(&s.core.out) {
-                    Ok(0) => break,
+                    Ok(0) => {
+                        broken = true;
+                        break;
+                    }
                     Ok(n) => {
                         s.core.out.drain(..n);
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break, // includes WouldBlock: best effort only
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        broken = true;
+                        break;
+                    }
                 }
             }
             let _ = s.stream.flush();
             if let Some(fd) = s.fd {
-                let _ = self.poller.deregister(fd);
-            }
-            if let Some(sig) = s.signal.take() {
-                sig.set_waker(None);
-            }
-            s.stream.shutdown_stream();
-            if let Some(u) = s.indexed_user.take() {
-                if let Some(set) = self.by_user.get_mut(&u) {
-                    set.remove(&tok);
-                    if set.is_empty() {
-                        self.by_user.remove(&u);
-                    }
+                let want = if s.core.out.is_empty() {
+                    Interest::READ
+                } else {
+                    Interest::READ_WRITE
+                };
+                if want != s.interest && self.poller.rearm(fd, tok, want).is_ok() {
+                    s.interest = want;
                 }
             }
-            s.core.finish(exit);
-            self.inner.session_closed();
         }
+        if broken {
+            self.close_session(tok, Exit::PeerClosed, false);
+        }
+    }
 
-        /// Server drain: stop accepting, then Goodbye + close every owned
-        /// session.
-        fn drain_all(&mut self) {
-            self.close_listener();
-            let toks: Vec<u64> = self.sessions.keys().copied().collect();
-            for tok in toks {
-                self.close_session(tok, Exit::Drain, true);
-            }
-            self.sessions_gauge.set(0);
+    /// Fired idle timer: close a genuinely idle session, or re-arm for
+    /// the remainder if there was activity since scheduling.
+    fn check_idle(&mut self, tok: u64) {
+        let idle = self.inner.cfg.idle_timeout;
+        let since = match self.sessions.get(&tok) {
+            Some(s) => s.last_activity.elapsed(),
+            None => return, // stale timer for a closed session
+        };
+        if since >= idle {
+            self.close_session(tok, Exit::IdleTimeout, true);
+        } else {
+            self.wheel
+                .schedule(Instant::now() + (idle - since), tok, TIMER_IDLE);
         }
+    }
+
+    /// Keeps the `by_user` push index in step with the session's
+    /// signed-on user (set by Hello, cleared by SignOff).
+    fn reindex(&mut self, tok: u64) {
+        let Some(s) = self.sessions.get_mut(&tok) else {
+            return;
+        };
+        if s.indexed_user == s.core.user {
+            return;
+        }
+        if let Some(u) = s.indexed_user.take() {
+            if let Some(set) = self.by_user.get_mut(&u) {
+                set.remove(&tok);
+                if set.is_empty() {
+                    self.by_user.remove(&u);
+                }
+            }
+        }
+        if let Some(u) = s.core.user {
+            self.by_user.entry(u).or_default().insert(tok);
+            s.indexed_user = Some(u);
+        }
+    }
+
+    /// Removes a session: optional Goodbye, best-effort flush,
+    /// deregistration, sign-off and accounting.
+    fn close_session(&mut self, tok: u64, exit: Exit, goodbye: bool) {
+        let Some(mut s) = self.sessions.remove(&tok) else {
+            return;
+        };
+        if goodbye {
+            s.core.queue_frame(FrameKind::Goodbye, &[]);
+        }
+        while !s.core.out.is_empty() {
+            match s.stream.write(&s.core.out) {
+                Ok(0) => break,
+                Ok(n) => {
+                    s.core.out.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // includes WouldBlock: best effort only
+            }
+        }
+        let _ = s.stream.flush();
+        if let Some(fd) = s.fd {
+            let _ = self.poller.deregister(fd);
+        }
+        if let Some(sig) = s.signal.take() {
+            sig.set_waker(None);
+        }
+        s.stream.shutdown_stream();
+        if let Some(u) = s.indexed_user.take() {
+            if let Some(set) = self.by_user.get_mut(&u) {
+                set.remove(&tok);
+                if set.is_empty() {
+                    self.by_user.remove(&u);
+                }
+            }
+        }
+        s.core.finish(exit);
+        self.inner.session_closed();
+    }
+
+    /// Server drain: stop accepting, then Goodbye + close every owned
+    /// session.
+    fn drain_all(&mut self) {
+        self.close_listener();
+        let toks: Vec<u64> = self.sessions.keys().copied().collect();
+        for tok in toks {
+            self.close_session(tok, Exit::Drain, true);
+        }
+        self.sessions_gauge.set(0);
     }
 }
 
@@ -1725,13 +1424,6 @@ mod tests {
                     return Response::decode(&f.payload).unwrap();
                 }
             }
-        }
-    }
-
-    fn reactor_cfg() -> NetConfig {
-        NetConfig {
-            backend: NetBackend::Reactor,
-            ..NetConfig::default()
         }
     }
 
@@ -1761,7 +1453,9 @@ mod tests {
             assert!(Instant::now() < deadline, "sign-off after disconnect");
             std::thread::sleep(Duration::from_millis(5));
         }
-        server.shutdown();
+        let stats = server.shutdown();
+        assert_eq!(stats.sessions_opened, 1);
+        assert_eq!(stats.sessions_closed, 1);
     }
 
     #[test]
@@ -1842,136 +1536,10 @@ mod tests {
     }
 
     #[test]
-    fn finished_session_threads_are_reaped_on_accept() {
-        let cmi = Arc::new(CmiServer::new());
-        let (server, connector) = NetServer::serve_loopback(cmi, NetConfig::default());
-        // Open and fully close a first session...
-        let stream = connector.dial().unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        stream.shutdown_stream();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while server.stats().sessions_closed == 0 {
-            assert!(Instant::now() < deadline, "first session closes");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // ...then accept a second one: the finished handle must be reaped.
-        let _stream2 = connector.dial().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let n = server.inner.session_threads.lock().len();
-            if n == 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "finished session threads reaped on accept (have {n})"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        server.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn reactor_hello_signs_on_and_disconnect_signs_off() {
+    fn serves_real_tcp_sockets() {
         let cmi = Arc::new(CmiServer::new());
         let alice = cmi.directory().add_user("alice");
-        let (server, connector) = NetServer::serve_loopback(cmi.clone(), reactor_cfg());
-        assert_eq!(server.backend(), NetBackend::Reactor);
-        assert!(server.inner.session_threads.lock().is_empty());
-
-        let mut stream = connector.dial().unwrap();
-        let mut frames = FrameReader::new();
-        let resp = raw_call(
-            &mut stream,
-            &mut frames,
-            &Request::Hello {
-                user: "alice".into(),
-                resume: false,
-            },
-        );
-        assert_eq!(resp, Response::HelloOk { user: alice.raw() });
-        assert!(cmi.directory().participant(alice).unwrap().signed_on);
-        assert_eq!(server.signed_on_users(), vec![alice]);
-        // No session threads were spawned: the loops own the session.
-        assert!(server.inner.session_threads.lock().is_empty());
-
-        stream.shutdown_stream();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while cmi.directory().participant(alice).unwrap().signed_on {
-            assert!(Instant::now() < deadline, "sign-off after disconnect");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.sessions_opened, 1);
-        assert_eq!(stats.sessions_closed, 1);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn reactor_idle_session_is_timed_out() {
-        let cmi = Arc::new(CmiServer::new());
-        let cfg = NetConfig {
-            idle_timeout: Duration::from_millis(50),
-            ..reactor_cfg()
-        };
-        let (server, connector) = NetServer::serve_loopback(cmi, cfg);
-        let mut stream = connector.dial().unwrap();
-        stream
-            .set_stream_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        let mut frames = FrameReader::new();
-        let goodbye = loop {
-            match frames.poll(&mut *stream) {
-                Ok(Some(f)) => break Some(f.kind),
-                Ok(None) => continue,
-                Err(_) => break None,
-            }
-        };
-        assert_eq!(goodbye, Some(FrameKind::Goodbye));
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while server.stats().idle_timeouts == 0 {
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        server.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn reactor_shutdown_drains_sessions_gracefully() {
-        let cmi = Arc::new(CmiServer::new());
-        cmi.directory().add_user("alice");
-        let (server, connector) = NetServer::serve_loopback(cmi, reactor_cfg());
-        let mut stream = connector.dial().unwrap();
-        let mut frames = FrameReader::new();
-        raw_call(
-            &mut stream,
-            &mut frames,
-            &Request::Hello {
-                user: "alice".into(),
-                resume: false,
-            },
-        );
-        let stats = server.shutdown();
-        assert_eq!(stats.sessions_opened, 1);
-        assert_eq!(stats.sessions_closed, 1);
-        stream
-            .set_stream_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let mut last = None;
-        while let Ok(Some(f)) = frames.poll(&mut *stream) {
-            last = Some(f.kind);
-        }
-        assert_eq!(last, Some(FrameKind::Goodbye));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn reactor_serves_real_tcp_sockets() {
-        let cmi = Arc::new(CmiServer::new());
-        let alice = cmi.directory().add_user("alice");
-        let (server, addr) = NetServer::bind_tcp(cmi.clone(), "127.0.0.1:0", reactor_cfg()).unwrap();
+        let (server, addr) = NetServer::bind_tcp(cmi.clone(), "127.0.0.1:0", NetConfig::default()).unwrap();
         let tcp = std::net::TcpStream::connect(addr).unwrap();
         let mut stream: Box<dyn NetStream> = Box::new(tcp);
         stream
@@ -1994,14 +1562,13 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(unix)]
     #[test]
-    fn reactor_publishes_loop_metrics() {
+    fn publishes_loop_metrics() {
         let cmi = Arc::new(CmiServer::new());
         cmi.directory().add_user("alice");
         let cfg = NetConfig {
             reactor_threads: 1,
-            ..reactor_cfg()
+            ..NetConfig::default()
         };
         let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
         let mut stream = connector.dial().unwrap();

@@ -17,33 +17,33 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-/// A readiness-wakeup callback installed by a reactor event loop. Invoked
+/// A readiness-wakeup callback installed by a server event loop. Invoked
 /// whenever the source *may* have become readable (data arrived, peer
 /// closed); spurious invocations are fine — the loop drains to `WouldBlock`.
 pub type ReadinessWaker = Arc<dyn Fn() + Send + Sync>;
 
-/// How a stream participates in a readiness reactor (the event-driven
-/// session backend). Two realizations cover the in-tree transports:
+/// How a stream signals readiness to the server's event loop. Two
+/// realizations cover the in-tree transports:
 ///
 /// * real sockets expose their file descriptor for kernel polling
 ///   (`epoll`/`poll`),
 /// * the in-memory loopback pipes have no descriptor; they expose a
-///   [`PipeSignal`] through which the reactor installs a userspace waker
+///   [`PipeSignal`] through which the event loop installs a userspace waker
 ///   fired on every write/close edge. Pipe writes never block (the buffer
 ///   is unbounded), so write readiness is unconditional for this variant.
 pub enum EventSource {
-    /// A kernel-pollable file descriptor (only meaningful on Unix).
+    /// A kernel-pollable file descriptor.
     Fd(i32),
     /// A userspace readable-edge signal (loopback pipes).
     Signal(PipeSignal),
 }
 
-/// A bidirectional, cloneable byte stream with read timeouts and an
-/// optional non-blocking / readiness contract.
+/// A bidirectional, cloneable byte stream with read timeouts and a
+/// non-blocking / readiness contract.
 ///
 /// `try_clone_stream` exists so one clone can sit in a blocking read while
-/// another writes: blocking-backend sessions use exactly two handles
-/// (reader + writer). The reactor backend instead flips the stream into
+/// another writes: the client and the federation peer links use exactly two
+/// handles (reader + writer). The server instead flips its end into
 /// non-blocking mode and drives one handle from readiness events.
 pub trait NetStream: Read + Write + Send {
     /// An independently usable handle to the same stream.
@@ -57,20 +57,11 @@ pub trait NetStream: Read + Write + Send {
     /// Switches the stream between blocking and non-blocking mode. In
     /// non-blocking mode reads (and, for sockets, writes) return
     /// [`io::ErrorKind::WouldBlock`] instead of parking the thread.
-    /// Transports that cannot honor the contract return `Unsupported`,
-    /// which excludes them from the reactor backend.
-    fn set_nonblocking_stream(&self, nonblocking: bool) -> io::Result<()> {
-        let _ = nonblocking;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "transport has no non-blocking mode",
-        ))
-    }
-    /// The stream's readiness source for reactor registration (`None` for
-    /// transports that only support the blocking backend).
-    fn event_source(&self) -> Option<EventSource> {
-        None
-    }
+    fn set_nonblocking_stream(&self, nonblocking: bool) -> io::Result<()>;
+    /// The stream's readiness source, for registration with the server's
+    /// event loop (the server, like its reactor, is Unix-only).
+    #[cfg(unix)]
+    fn event_source(&self) -> EventSource;
 }
 
 impl NetStream for TcpStream {
@@ -97,49 +88,37 @@ impl NetStream for TcpStream {
     }
 
     #[cfg(unix)]
-    fn event_source(&self) -> Option<EventSource> {
+    fn event_source(&self) -> EventSource {
         use std::os::fd::AsRawFd;
-        Some(EventSource::Fd(self.as_raw_fd()))
+        EventSource::Fd(self.as_raw_fd())
     }
 }
 
-/// Accepts inbound connections for a server.
+/// Accepts inbound connections for a server. The server's first event loop
+/// owns the listener and calls [`Listener::try_accept`] on accept readiness,
+/// which a transport signals in one of two ways: a pollable descriptor
+/// ([`Listener::accept_fd`]) or, without one, a userspace waker
+/// ([`Listener::set_accept_waker`]).
 pub trait Listener: Send {
-    /// Waits up to `timeout` for one connection. `Ok(None)` on timeout.
-    fn poll_accept(&self, timeout: Duration) -> io::Result<Option<Box<dyn NetStream>>>;
+    /// Non-blocking accept attempt: `Ok(None)` when no connection is
+    /// pending, `Err` once the listener is closed.
+    fn try_accept(&self) -> io::Result<Option<Box<dyn NetStream>>>;
     /// Stops accepting; subsequent dials fail.
     fn close(&self);
     /// A label for diagnostics ("127.0.0.1:4000", "loopback").
     fn label(&self) -> String;
-    /// Non-blocking accept attempt: `Ok(None)` when no connection is
-    /// pending. Used by the reactor backend's readiness-based accept.
-    fn try_accept(&self) -> io::Result<Option<Box<dyn NetStream>>> {
-        self.poll_accept(Duration::ZERO)
-    }
-    /// The pollable file descriptor of the listening socket, if the
-    /// transport has one (Unix sockets). A reactor registers it and calls
-    /// [`Listener::try_accept`] on readable edges instead of tick-polling.
-    fn accept_fd(&self) -> Option<i32> {
-        None
-    }
-    /// Whether [`Listener::set_accept_waker`] is supported — the userspace
-    /// alternative to [`Listener::accept_fd`] for descriptor-less
-    /// transports.
-    fn supports_accept_waker(&self) -> bool {
-        false
-    }
+    /// The pollable file descriptor of the listening socket; `None` for a
+    /// descriptor-less transport, which gets an accept waker instead.
+    #[cfg(unix)]
+    fn accept_fd(&self) -> Option<i32>;
     /// Installs (or clears) a waker fired whenever a connection may be
-    /// pending. Returns `false` on transports without waker support.
-    /// Installing while dials are already queued fires the waker
+    /// pending. Installing while dials are already queued fires the waker
     /// immediately, so edges that raced registration are not lost.
-    fn set_accept_waker(&self, waker: Option<ReadinessWaker>) -> bool {
-        let _ = waker;
-        false
-    }
+    fn set_accept_waker(&self, waker: Option<ReadinessWaker>);
 }
 
-/// TCP listener adapter (non-blocking accept under a poll loop, so server
-/// shutdown never hangs in `accept`).
+/// TCP listener adapter (non-blocking accept, so draining pending
+/// connections on a readable edge never hangs in `accept`).
 pub struct TcpAcceptor {
     listener: TcpListener,
     addr: SocketAddr,
@@ -161,8 +140,7 @@ impl TcpAcceptor {
 }
 
 impl Listener for TcpAcceptor {
-    fn poll_accept(&self, timeout: Duration) -> io::Result<Option<Box<dyn NetStream>>> {
-        let deadline = Instant::now() + timeout;
+    fn try_accept(&self) -> io::Result<Option<Box<dyn NetStream>>> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -170,12 +148,7 @@ impl Listener for TcpAcceptor {
                     let _ = stream.set_nodelay(true);
                     return Ok(Some(Box::new(stream)));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
@@ -183,8 +156,8 @@ impl Listener for TcpAcceptor {
     }
 
     fn close(&self) {
-        // Dropping the std listener closes the socket; nothing to do early —
-        // the accept loop exits via the server's stop flag.
+        // Dropping the std listener closes the socket; the owning event
+        // loop drops it right after this call.
     }
 
     fn label(&self) -> String {
@@ -198,6 +171,10 @@ impl Listener for TcpAcceptor {
         // edge plus `try_accept` drains every pending connection.
         Some(self.listener.as_raw_fd())
     }
+
+    fn set_accept_waker(&self, _waker: Option<ReadinessWaker>) {
+        // Accept readiness comes from polling `accept_fd`.
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +185,7 @@ impl Listener for TcpAcceptor {
 struct PipeBuf {
     data: VecDeque<u8>,
     closed: bool,
-    /// Reactor waker fired on every write/close edge into this buffer.
+    /// Event-loop waker fired on every write/close edge into this buffer.
     waker: Option<ReadinessWaker>,
 }
 
@@ -227,7 +204,7 @@ fn notify_buf(shared: &Shared) {
     }
 }
 
-/// The userspace readiness signal of one pipe direction: the reactor
+/// The userspace readiness signal of one pipe direction: the event loop
 /// installs a waker on the stream's *receive* buffer, and every write or
 /// close edge into that buffer fires it. See [`EventSource::Signal`].
 pub struct PipeSignal {
@@ -399,10 +376,11 @@ impl NetStream for PipeStream {
         Ok(())
     }
 
-    fn event_source(&self) -> Option<EventSource> {
-        Some(EventSource::Signal(PipeSignal {
+    #[cfg(unix)]
+    fn event_source(&self) -> EventSource {
+        EventSource::Signal(PipeSignal {
             rx: self.rx.clone(),
-        }))
+        })
     }
 }
 
@@ -410,14 +388,13 @@ struct HubState {
     pending: VecDeque<PipeStream>,
     closed: bool,
     dialed: u64,
-    /// Reactor accept waker fired on every dial/close edge.
+    /// Accept waker fired on every dial/close edge.
     waker: Option<ReadinessWaker>,
 }
 
 /// The shared state behind a loopback listener/connector pair.
 pub struct LoopbackHub {
     state: Mutex<HubState>,
-    cv: Condvar,
 }
 
 /// Creates a connected loopback listener + connector.
@@ -429,7 +406,6 @@ pub fn loopback() -> (LoopbackListener, LoopbackConnector) {
             dialed: 0,
             waker: None,
         }),
-        cv: Condvar::new(),
     });
     (
         LoopbackListener { hub: hub.clone() },
@@ -443,25 +419,18 @@ pub struct LoopbackListener {
 }
 
 impl Listener for LoopbackListener {
-    fn poll_accept(&self, timeout: Duration) -> io::Result<Option<Box<dyn NetStream>>> {
-        let deadline = Instant::now() + timeout;
+    fn try_accept(&self) -> io::Result<Option<Box<dyn NetStream>>> {
         let mut state = self.hub.state.lock();
-        loop {
-            if let Some(stream) = state.pending.pop_front() {
-                return Ok(Some(Box::new(stream)));
-            }
-            if state.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "loopback closed",
-                ));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            self.hub.cv.wait_for(&mut state, deadline - now);
+        if let Some(stream) = state.pending.pop_front() {
+            return Ok(Some(Box::new(stream)));
         }
+        if state.closed {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "loopback closed",
+            ));
+        }
+        Ok(None)
     }
 
     fn close(&self) {
@@ -472,7 +441,6 @@ impl Listener for LoopbackListener {
             for s in state.pending.drain(..) {
                 s.shutdown_stream();
             }
-            self.hub.cv.notify_all();
             state.waker.clone()
         };
         if let Some(w) = waker {
@@ -484,11 +452,12 @@ impl Listener for LoopbackListener {
         "loopback".to_owned()
     }
 
-    fn supports_accept_waker(&self) -> bool {
-        true
+    #[cfg(unix)]
+    fn accept_fd(&self) -> Option<i32> {
+        None
     }
 
-    fn set_accept_waker(&self, waker: Option<ReadinessWaker>) -> bool {
+    fn set_accept_waker(&self, waker: Option<ReadinessWaker>) {
         let fire = {
             let mut state = self.hub.state.lock();
             let pending = !state.pending.is_empty() || state.closed;
@@ -500,7 +469,6 @@ impl Listener for LoopbackListener {
                 w();
             }
         }
-        true
     }
 }
 
@@ -525,7 +493,6 @@ impl LoopbackConnector {
         let n = state.dialed;
         let (client, server) = pipe_pair(&format!("loopback-{n}"));
         state.pending.push_back(server);
-        self.hub.cv.notify_all();
         let waker = state.waker.clone();
         drop(state);
         if let Some(w) = waker {
@@ -571,10 +538,7 @@ mod tests {
     fn loopback_dial_accept_roundtrip() {
         let (listener, connector) = loopback();
         let mut client = connector.dial().unwrap();
-        let mut server = listener
-            .poll_accept(Duration::from_millis(100))
-            .unwrap()
-            .unwrap();
+        let mut server = listener.try_accept().unwrap().unwrap();
         client.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         server.read_exact(&mut buf).unwrap();
@@ -596,17 +560,12 @@ mod tests {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
         let mut client = TcpStream::connect(addr).unwrap();
-        let mut server = acceptor
-            .poll_accept(Duration::from_secs(2))
-            .unwrap()
-            .unwrap();
+        // `connect` returned, so the connection is in the accept queue.
+        let mut server = acceptor.try_accept().unwrap().unwrap();
         client.write_all(b"abc").unwrap();
         let mut buf = [0u8; 3];
         server.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"abc");
-        assert!(acceptor
-            .poll_accept(Duration::from_millis(20))
-            .unwrap()
-            .is_none());
+        assert!(acceptor.try_accept().unwrap().is_none());
     }
 }

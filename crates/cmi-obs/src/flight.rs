@@ -152,17 +152,18 @@ impl FlightRecorder {
         if !self.enabled {
             return;
         }
-        let rec = FlightRecord {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            at_ms: self.start.elapsed().as_millis() as u64,
-            kind,
-            detail: detail.into(),
-        };
+        let detail = detail.into();
         let mut ring = self.inner.lock();
         if ring.len() >= self.cap {
             ring.pop_front();
         }
-        ring.push_back(rec);
+        // Numbered under the ring lock, so ring order is seq order.
+        ring.push_back(FlightRecord {
+            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
+            at_ms: self.start.elapsed().as_millis() as u64,
+            kind,
+            detail,
+        });
     }
 
     /// Number of records currently retained.

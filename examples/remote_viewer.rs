@@ -109,7 +109,7 @@ fn main() {
     // Disconnecting signs the user off — the directory reflects it.
     let uid = conn.user_id();
     conn.close();
-    // The session thread notices the disconnect within a tick or two.
+    // The owning event loop signs the user off when it sees the hangup.
     for _ in 0..200 {
         if !server.directory().participant(uid).unwrap().signed_on {
             break;

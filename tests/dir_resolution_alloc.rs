@@ -72,6 +72,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MEMBERS: usize = 10_000;
 
 fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    // `ALLOCS` is process-wide and the tests of this binary run on parallel
+    // threads: one tracked region at a time, or a neighbour's probe lands
+    // in this region's delta.
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     TRACK.with(|t| t.set(true));
     let before = ALLOCS.load(Ordering::Relaxed);
     let r = f();

@@ -8,7 +8,7 @@
 //! partitions process instances across nodes by rendezvous hash, forwards
 //! every event to its owning node, detects there, and routes notifications
 //! back to wherever each subscriber is signed on, so this test exercises the
-//! full Fig. 5 pipeline across node boundaries on both session backends.
+//! full Fig. 5 pipeline across node boundaries.
 //!
 //! A second scenario kills and restarts a node's network front mid-stream
 //! and asserts exactly-once, in-order delivery across the peer hop (the
@@ -25,7 +25,7 @@ use cmi::core::schema::ActivitySchemaBuilder;
 use cmi::core::value::Value;
 use cmi::fed::testkit::LoopbackCluster;
 use cmi::net::client::ClientConfig;
-use cmi::net::server::{NetBackend, NetConfig};
+use cmi::net::server::NetConfig;
 
 /// Identical world on every node and on the oracle: a `Mission` process
 /// schema, three subscribers each behind their own org role, and three
@@ -159,14 +159,6 @@ fn client_cfg() -> ClientConfig {
     }
 }
 
-fn net_cfg(backend: NetBackend) -> NetConfig {
-    NetConfig {
-        backend,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
 /// Drains a viewer until `expect` notifications arrive (or panics after the
 /// deadline): routed notifications converge asynchronously via the pumps.
 fn drain_exact(
@@ -202,8 +194,9 @@ fn drain_exact(
 
 /// The 3-node differential: identical notification multisets and exact
 /// per-(user, instance) order versus the single-server oracle.
-fn differential_vs_oracle(backend: NetBackend) {
-    let cluster = LoopbackCluster::start(3, net_cfg(backend), &setup);
+#[test]
+fn three_node_cluster_matches_oracle() {
+    let cluster = LoopbackCluster::start(3, NetConfig::default(), &setup);
     let oracle = CmiServer::new();
     setup(&oracle);
 
@@ -288,17 +281,6 @@ fn differential_vs_oracle(backend: NetBackend) {
     cluster.shutdown();
 }
 
-#[test]
-fn three_node_cluster_matches_oracle_blocking_backend() {
-    differential_vs_oracle(NetBackend::Blocking);
-}
-
-#[test]
-#[cfg(unix)]
-fn three_node_cluster_matches_oracle_reactor_backend() {
-    differential_vs_oracle(NetBackend::Reactor);
-}
-
 /// Batch invariance: the 3-node-vs-oracle differential, pipelined so the
 /// links actually aggregate multi-event `FedBatch` frames, swept over batch
 /// sizes and flush deadlines. Every arm must produce the identical
@@ -310,7 +292,7 @@ fn three_node_cluster_matches_oracle_reactor_backend() {
 /// different links — per-link FIFO plus in-batch order then guarantees the
 /// oracle's per-instance ingest order at the owning node, which is the only
 /// order the detection model defines.
-fn differential_pipelined(backend: NetBackend, batch_events: usize, deadline: Duration) {
+fn differential_pipelined(batch_events: usize, deadline: Duration) {
     use cmi::fed::{FedConfig, PeerConfig};
 
     let fed_cfg = FedConfig {
@@ -322,7 +304,7 @@ fn differential_pipelined(backend: NetBackend, batch_events: usize, deadline: Du
         ..FedConfig::default()
     };
     let label = format!("batch={batch_events}/deadline={deadline:?}");
-    let cluster = LoopbackCluster::start_with(3, net_cfg(backend), fed_cfg, &setup);
+    let cluster = LoopbackCluster::start_with(3, NetConfig::default(), fed_cfg, &setup);
     let oracle = CmiServer::new();
     setup(&oracle);
 
@@ -428,30 +410,21 @@ fn differential_pipelined(backend: NetBackend, batch_events: usize, deadline: Du
     cluster.shutdown();
 }
 
-fn batch_invariance_sweep(backend: NetBackend) {
+#[test]
+fn batch_invariance_all_arms() {
     for batch_events in [1usize, 4, 64] {
         for deadline in [Duration::ZERO, Duration::from_millis(5)] {
-            differential_pipelined(backend, batch_events, deadline);
+            differential_pipelined(batch_events, deadline);
         }
     }
-}
-
-#[test]
-fn batch_invariance_all_arms_blocking_backend() {
-    batch_invariance_sweep(NetBackend::Blocking);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_invariance_all_arms_reactor_backend() {
-    batch_invariance_sweep(NetBackend::Reactor);
 }
 
 /// Kill/restart: a subscriber's node goes down mid-stream; every
 /// notification detected meanwhile parks durably at its origin and resumes
 /// across the reconnected peer link — exactly once, in order.
-fn survives_node_kill_and_restart(backend: NetBackend) {
-    let cluster = LoopbackCluster::start(2, net_cfg(backend), &setup_hit_only);
+#[test]
+fn kill_restart_exactly_once() {
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_hit_only);
 
     // alice signs on at node 1; all events target instances OWNED by node 0,
     // so every notification for alice crosses the 0 → 1 peer hop.
@@ -531,22 +504,11 @@ fn survives_node_kill_and_restart(backend: NetBackend) {
     cluster.shutdown();
 }
 
-#[test]
-fn kill_restart_exactly_once_blocking_backend() {
-    survives_node_kill_and_restart(NetBackend::Blocking);
-}
-
-#[test]
-#[cfg(unix)]
-fn kill_restart_exactly_once_reactor_backend() {
-    survives_node_kill_and_restart(NetBackend::Reactor);
-}
-
 /// A dead peer yields a typed error at the ingest point instead of hanging:
 /// forwarding to a killed node fails fast with `PeerUnavailable`.
 #[test]
 fn dead_peer_is_a_typed_error_not_a_hang() {
-    let cluster = LoopbackCluster::start(2, net_cfg(NetBackend::Blocking), &setup_hit_only);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_hit_only);
     let raw_owned_by_1 = (1..200u64)
         .find(|&raw| cluster.cluster().owner_of_instance(raw) == 1)
         .unwrap();
@@ -634,7 +596,7 @@ fn service_violations_federate_to_the_owning_node() {
         );
         *ids.lock().unwrap() = Some((pid, iface, bot));
     };
-    let cluster = LoopbackCluster::start(2, net_cfg(NetBackend::Blocking), &setup);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup);
     let (pid, iface, bot) = ids.lock().unwrap().unwrap();
 
     // The service engine lives at node 0; violations federate from there.

@@ -29,15 +29,7 @@ use cmi::core::value::Value;
 use cmi::fed::testkit::{ElasticCluster, LoopbackCluster};
 use cmi::fed::FedConfig;
 use cmi::net::client::ClientConfig;
-use cmi::net::server::{NetBackend, NetConfig};
-
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        backend: NetBackend::Blocking,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
+use cmi::net::server::NetConfig;
 
 fn client_cfg() -> ClientConfig {
     ClientConfig {
@@ -133,7 +125,7 @@ const ORG_SPEC: &str = r#"
 /// and the notification routes back to the subscriber at node 0.
 #[test]
 fn role_created_on_one_node_resolves_for_delivery_on_another() {
-    let cluster = LoopbackCluster::start(2, net_cfg(), &setup_specs_only(ORG_SPEC));
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_specs_only(ORG_SPEC));
 
     // All directory mutation happens on node 0.
     let dir0 = cluster.node(0).cmi().directory().clone();
@@ -185,7 +177,7 @@ const SCOPED_SPEC: &str = r#"
 /// the owning node 1 (context topology and membership both synced).
 #[test]
 fn scoped_role_created_on_one_node_resolves_on_the_instance_owner() {
-    let cluster = LoopbackCluster::start(2, net_cfg(), &setup_specs_only(SCOPED_SPEC));
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_specs_only(SCOPED_SPEC));
     let inst = instance_owned_by(&cluster, 1);
 
     let cmi0 = cluster.node(0).cmi().clone();
@@ -231,7 +223,7 @@ fn synced_directory_survives_full_restart_via_journal() {
         ..FedConfig::default()
     };
     let setup = setup_specs_only(ORG_SPEC);
-    let cluster = ElasticCluster::start(2, 2, net_cfg(), fed_cfg, &setup);
+    let cluster = ElasticCluster::start(2, 2, NetConfig::default(), fed_cfg, &setup);
 
     let dir0 = cluster.node(0).cmi().directory().clone();
     let dana = dir0.add_user("dana");
@@ -290,7 +282,7 @@ fn setup_pool(cmi: &CmiServer) {
 /// its sign-on node 1 (gossiped figures), and avoids the busy member.
 #[test]
 fn least_loaded_assignment_uses_gossiped_cluster_loads() {
-    let cluster = LoopbackCluster::start(2, net_cfg(), &setup_pool);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_pool);
     let high = cluster.node(0).cmi().directory().user_by_name("u-high").unwrap();
 
     let conn_low = cluster.connect(0, "u-low", client_cfg()).expect("connect u-low");
@@ -341,7 +333,7 @@ fn setup_drain(cmi: &CmiServer) {
 /// load gauge is zero on the detecting node *and* on the sign-on node.
 #[test]
 fn routed_delivery_load_drains_to_zero_after_acks() {
-    let cluster = LoopbackCluster::start(2, net_cfg(), &setup_drain);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_drain);
     let dana = cluster.node(0).cmi().directory().user_by_name("dana").unwrap();
     let conn = cluster.connect(1, "dana", client_cfg()).expect("connect dana");
 

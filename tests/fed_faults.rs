@@ -24,7 +24,7 @@ use cmi::fed::testkit::{ElasticCluster, LoopbackCluster};
 use cmi::fed::{FedConfig, PeerConfig};
 use cmi::net::client::ClientConfig;
 use cmi::net::codec::{encode_frame, FrameKind, FrameReader};
-use cmi::net::server::{FederationHooks, NetBackend, NetConfig};
+use cmi::net::server::{FederationHooks, NetConfig};
 use cmi::net::wire::{FedEventBody, Request, Response};
 
 /// One stateless hit filter delivering to alice: every sensor event maps to
@@ -62,14 +62,6 @@ fn client_cfg() -> ClientConfig {
     }
 }
 
-fn net_cfg(backend: NetBackend) -> NetConfig {
-    NetConfig {
-        backend,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
 /// Small batches and a tiny window so the kill reliably lands with the
 /// window full, plus a long dial patience so injectors ride out the outage
 /// (blocking on retransmit) instead of failing fast.
@@ -97,10 +89,11 @@ fn instances_owned_by(cluster: &LoopbackCluster, node: u32, how_many: usize) -> 
 
 /// Kill + restart the owning peer with a full window of unacked multi-event
 /// batches in flight from concurrent injectors. Zero lost, zero duplicated.
-fn mid_batch_kill_restart(backend: NetBackend) {
+#[test]
+fn mid_batch_kill_restart() {
     let cluster = Arc::new(LoopbackCluster::start_with(
         2,
-        net_cfg(backend),
+        NetConfig::default(),
         fault_fed_cfg(),
         &setup_hit_only,
     ));
@@ -196,17 +189,6 @@ fn mid_batch_kill_restart(backend: NetBackend) {
     cluster.shutdown();
 }
 
-#[test]
-fn mid_batch_kill_restart_blocking_backend() {
-    mid_batch_kill_restart(NetBackend::Blocking);
-}
-
-#[test]
-#[cfg(unix)]
-fn mid_batch_kill_restart_reactor_backend() {
-    mid_batch_kill_restart(NetBackend::Reactor);
-}
-
 fn body(instance: u64, idx: i64) -> FedEventBody {
     FedEventBody {
         source: "sensor".to_owned(),
@@ -246,7 +228,7 @@ fn roundtrip(
 /// answered from the cache.
 #[test]
 fn torn_frame_then_retransmit_is_exactly_once() {
-    let cluster = LoopbackCluster::start(2, net_cfg(NetBackend::Blocking), &setup_hit_only);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_hit_only);
     let node0 = cluster.node(0).cmi().clone();
     let alice = node0.directory().user_by_name("alice").unwrap();
     let owned_by_0 = instances_owned_by(&cluster, 0, 2);
@@ -376,7 +358,7 @@ fn torn_frame_then_retransmit_is_exactly_once() {
 /// silently re-ingested.
 #[test]
 fn replay_beyond_cache_depth_is_refused() {
-    let cluster = LoopbackCluster::start(2, net_cfg(NetBackend::Blocking), &setup_hit_only);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_hit_only);
     let core = cluster.node(0).core().clone();
     let node0 = cluster.node(0).cmi().clone();
     let alice = node0.directory().user_by_name("alice").unwrap();
@@ -452,7 +434,7 @@ fn journal_recovers_replay_and_dedup_across_full_restart() {
     let cluster = ElasticCluster::start(
         2,
         2,
-        net_cfg(NetBackend::Blocking),
+        NetConfig::default(),
         fed_cfg,
         &setup_hit_only,
     );
@@ -595,7 +577,7 @@ fn journal_resumes_adopted_schema_generation_across_restart() {
     let cluster = ElasticCluster::start(
         2,
         2,
-        net_cfg(NetBackend::Blocking),
+        NetConfig::default(),
         fed_cfg,
         &setup_hit_only,
     );

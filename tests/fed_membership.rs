@@ -33,7 +33,7 @@ use cmi::fed::node::series;
 use cmi::fed::testkit::{ElasticCluster, LoopbackCluster};
 use cmi::fed::{FedConfig, FedError};
 use cmi::net::client::ClientConfig;
-use cmi::net::server::{FederationHooks, NetBackend, NetConfig};
+use cmi::net::server::{FederationHooks, NetConfig};
 use cmi::net::wire::{FedEventBody, Request, Response};
 
 /// Identical world on every node and on the oracle (same shape as the
@@ -160,14 +160,6 @@ fn client_cfg() -> ClientConfig {
     }
 }
 
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        backend: NetBackend::Blocking,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
 fn drain_exact(
     conn: &cmi::net::client::Connection,
     expect: usize,
@@ -250,7 +242,7 @@ fn advance_clocks(cluster: &ElasticCluster, oracle: &CmiServer) {
 /// included — migrates over mid-stream, and the differential stays exact.
 #[test]
 fn join_rebalance_under_load_matches_oracle() {
-    let cluster = ElasticCluster::start(2, 3, net_cfg(), FedConfig::default(), &setup);
+    let cluster = ElasticCluster::start(2, 3, NetConfig::default(), FedConfig::default(), &setup);
     let oracle = CmiServer::new();
     setup(&oracle);
 
@@ -316,7 +308,7 @@ fn join_rebalance_under_load_matches_oracle() {
 /// notifications drain before it disappears.
 #[test]
 fn graceful_leave_under_load_matches_oracle() {
-    let cluster = ElasticCluster::start(3, 3, net_cfg(), FedConfig::default(), &setup);
+    let cluster = ElasticCluster::start(3, 3, NetConfig::default(), FedConfig::default(), &setup);
     let oracle = CmiServer::new();
     setup(&oracle);
 
@@ -368,7 +360,7 @@ fn graceful_leave_under_load_matches_oracle() {
 /// succeeds under it — exactly once overall.
 #[test]
 fn hard_kill_then_eviction_recovers() {
-    let cluster = ElasticCluster::start(3, 3, net_cfg(), FedConfig::default(), &setup_hit_only);
+    let cluster = ElasticCluster::start(3, 3, NetConfig::default(), FedConfig::default(), &setup_hit_only);
     let oracle = CmiServer::new();
     setup_hit_only(&oracle);
 
@@ -456,7 +448,7 @@ fn hard_kill_then_eviction_recovers() {
 /// wait turns a would-be failure into a successful local ingest.
 #[test]
 fn share_submitted_under_stale_view_reroutes_after_eviction() {
-    let cluster = ElasticCluster::start(2, 2, net_cfg(), FedConfig::default(), &setup_hit_only);
+    let cluster = ElasticCluster::start(2, 2, NetConfig::default(), FedConfig::default(), &setup_hit_only);
     let alice = cluster.connect(0, "alice", client_cfg()).unwrap();
     let seed = cluster.node(0).core().cluster();
     let owned_by_1 = (1..200u64)
@@ -490,7 +482,7 @@ fn share_submitted_under_stale_view_reroutes_after_eviction() {
 /// `seq`) land before the join, the rest after the instance moved.
 #[test]
 fn composite_state_straddles_a_migration_exactly_once() {
-    let cluster = ElasticCluster::start(2, 3, net_cfg(), FedConfig::default(), &setup);
+    let cluster = ElasticCluster::start(2, 3, NetConfig::default(), FedConfig::default(), &setup);
     let bob = cluster.connect(0, "bob", client_cfg()).unwrap();
     let carol = cluster.connect(1, "carol", client_cfg()).unwrap();
 
@@ -568,7 +560,7 @@ fn composite_state_straddles_a_migration_exactly_once() {
 /// nothing, and the identical frame under the current epoch succeeds.
 #[test]
 fn stale_epoch_batch_is_fenced_without_mutation() {
-    let cluster = ElasticCluster::start(2, 3, net_cfg(), FedConfig::default(), &setup_hit_only);
+    let cluster = ElasticCluster::start(2, 3, NetConfig::default(), FedConfig::default(), &setup_hit_only);
     let alice = cluster.connect(0, "alice", client_cfg()).unwrap();
     let epoch = cluster.add_node(2, &setup_hit_only);
     cluster.await_epoch(epoch);
@@ -631,7 +623,7 @@ fn stale_epoch_batch_is_fenced_without_mutation() {
 /// stale frame is dropped (counted) instead of clobbering a newer set.
 #[test]
 fn stale_gossip_version_cannot_clobber_newer_signons() {
-    let cluster = LoopbackCluster::start(2, net_cfg(), &setup_hit_only);
+    let cluster = LoopbackCluster::start(2, NetConfig::default(), &setup_hit_only);
     let core = cluster.node(0).core().clone();
 
     let fresh = core

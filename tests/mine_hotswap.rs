@@ -23,7 +23,7 @@ use cmi::fed::testkit::LoopbackCluster;
 use cmi::fed::{FedConfig, PeerConfig};
 use cmi::mine::{detection_multiset, parse_xes};
 use cmi::net::client::ClientConfig;
-use cmi::net::server::{NetBackend, NetConfig};
+use cmi::net::server::NetConfig;
 use cmi::workloads::{LogReplayer, ReplayParams};
 
 /// Generation-1 schema set: a stateless hit filter (the load carrier) and
@@ -90,14 +90,6 @@ fn client_cfg() -> ClientConfig {
     }
 }
 
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        backend: NetBackend::Blocking,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
 fn fed_cfg() -> FedConfig {
     FedConfig {
         peer: PeerConfig {
@@ -131,7 +123,7 @@ fn await_generation(cluster: &LoopbackCluster, generation: u64) {
 fn three_node_hot_swap_under_load_preserves_straddling_seq_state() {
     let cluster = Arc::new(LoopbackCluster::start_with(
         3,
-        net_cfg(),
+        NetConfig::default(),
         fed_cfg(),
         &setup,
     ));
@@ -297,7 +289,7 @@ fn fetched_xes_log_replays_at_ten_x_with_identical_detections() {
         setup(cmi);
         cmi.enable_mine_log(4096);
     };
-    let cluster = LoopbackCluster::start(1, net_cfg(), &mine_setup);
+    let cluster = LoopbackCluster::start(1, NetConfig::default(), &mine_setup);
     let alice = cluster.connect(0, "alice", client_cfg()).unwrap();
     let clock = cluster.node(0).cmi().clock().clone();
 

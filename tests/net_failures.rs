@@ -3,7 +3,7 @@
 //! Every test runs over the deterministic in-memory loopback transport and
 //! attacks one robustness property of the wire subsystem:
 //!
-//! * torn / partial frames (bytes dribbling in across poll ticks),
+//! * torn / partial frames (bytes dribbling in across readiness events),
 //! * disconnect in the middle of a frame,
 //! * oversized-frame and corrupted-checksum rejection,
 //! * crash during notification delivery followed by reconnect-and-resume
@@ -32,7 +32,7 @@ use cmi::net::client::{ClientConfig, Connection};
 use cmi::net::codec::{
     encode_frame, FrameKind, FrameReader, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
 };
-use cmi::net::server::{NetBackend, NetConfig, NetServer};
+use cmi::net::server::{NetConfig, NetServer};
 use cmi::net::wire::{Request, Response};
 use cmi::workloads::taskforce;
 
@@ -107,27 +107,18 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Every scenario below runs against both session engines with identical
-/// assertions — the backend is purely a parameter. (On non-unix platforms
-/// the reactor arm transparently degrades to the blocking engine.)
-fn cfg_for(backend: NetBackend) -> NetConfig {
-    NetConfig {
-        backend,
-        ..NetConfig::default()
-    }
-}
-
-fn torn_frames_are_reassembled(cfg: NetConfig) {
+#[test]
+fn torn_frames_are_reassembled_across_ticks() {
     let (cmi, _) = system_with_watchers(&["alice"], RoleAssignment::Identity);
-    let (server, connector) = NetServer::serve_loopback(cmi, cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi, NetConfig::default());
     let mut stream = connector.dial().unwrap();
     stream
         .set_stream_read_timeout(Some(Duration::from_millis(25)))
         .unwrap();
     let mut frames = FrameReader::new();
 
-    // Dribble a Hello request in 3-byte slices with pauses longer than the
-    // server's read tick, so reassembly must span many poll timeouts.
+    // Dribble a Hello request in 3-byte slices with pauses between them, so
+    // reassembly must span many separate readiness events.
     let hello = Request::Hello {
         user: "alice".into(),
         resume: false,
@@ -143,18 +134,9 @@ fn torn_frames_are_reassembled(cfg: NetConfig) {
 }
 
 #[test]
-fn torn_frames_are_reassembled_across_ticks() {
-    torn_frames_are_reassembled(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn torn_frames_are_reassembled_across_ticks_reactor() {
-    torn_frames_are_reassembled(cfg_for(NetBackend::Reactor));
-}
-
-fn disconnect_mid_frame_tears_down(cfg: NetConfig) {
+fn disconnect_mid_frame_tears_down_the_session_cleanly() {
     let (cmi, users) = system_with_watchers(&["alice"], RoleAssignment::Identity);
-    let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi.clone(), NetConfig::default());
     let mut stream = connector.dial().unwrap();
     stream
         .set_stream_read_timeout(Some(Duration::from_millis(25)))
@@ -185,18 +167,9 @@ fn disconnect_mid_frame_tears_down(cfg: NetConfig) {
 }
 
 #[test]
-fn disconnect_mid_frame_tears_down_the_session_cleanly() {
-    disconnect_mid_frame_tears_down(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn disconnect_mid_frame_tears_down_the_session_cleanly_reactor() {
-    disconnect_mid_frame_tears_down(cfg_for(NetBackend::Reactor));
-}
-
-fn oversized_frame_is_rejected(cfg: NetConfig) {
+fn oversized_frame_is_rejected_as_a_protocol_error() {
     let (cmi, _) = system_with_watchers(&["alice"], RoleAssignment::Identity);
-    let (server, connector) = NetServer::serve_loopback(cmi, cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi, NetConfig::default());
     let mut stream = connector.dial().unwrap();
 
     // A header declaring a payload beyond MAX_FRAME_LEN. The server must
@@ -215,18 +188,9 @@ fn oversized_frame_is_rejected(cfg: NetConfig) {
 }
 
 #[test]
-fn oversized_frame_is_rejected_as_a_protocol_error() {
-    oversized_frame_is_rejected(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn oversized_frame_is_rejected_as_a_protocol_error_reactor() {
-    oversized_frame_is_rejected(cfg_for(NetBackend::Reactor));
-}
-
-fn corrupted_checksum_is_rejected(cfg: NetConfig) {
+fn corrupted_checksum_is_rejected_as_a_protocol_error() {
     let (cmi, _) = system_with_watchers(&["alice"], RoleAssignment::Identity);
-    let (server, connector) = NetServer::serve_loopback(cmi, cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi, NetConfig::default());
     let mut stream = connector.dial().unwrap();
 
     let mut bytes = encode_frame(FrameKind::Request, &Request::Digest.encode());
@@ -239,23 +203,14 @@ fn corrupted_checksum_is_rejected(cfg: NetConfig) {
     server.shutdown();
 }
 
-#[test]
-fn corrupted_checksum_is_rejected_as_a_protocol_error() {
-    corrupted_checksum_is_rejected(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn corrupted_checksum_is_rejected_as_a_protocol_error_reactor() {
-    corrupted_checksum_is_rejected(cfg_for(NetBackend::Reactor));
-}
-
 /// Crash during delivery + reconnect-and-resume: kill the link repeatedly
 /// while notifications stream; every notification must arrive exactly once.
-fn crash_during_delivery_resumes(cfg: NetConfig) {
+#[test]
+fn crash_during_delivery_resumes_without_loss_or_duplication() {
     let (cmi, _) = system_with_watchers(&["alice"], RoleAssignment::Identity);
     let cfg = NetConfig {
         push_window: 4, // small window: plenty of in-flight/parked churn
-        ..cfg
+        ..NetConfig::default()
     };
     let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
     let conn = Connection::connect_loopback(connector, "alice", ClientConfig::default()).unwrap();
@@ -296,20 +251,11 @@ fn crash_during_delivery_resumes(cfg: NetConfig) {
     server.shutdown();
 }
 
-#[test]
-fn crash_during_delivery_resumes_without_loss_or_duplication() {
-    crash_during_delivery_resumes(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn crash_during_delivery_resumes_without_loss_or_duplication_reactor() {
-    crash_during_delivery_resumes(cfg_for(NetBackend::Reactor));
-}
-
 /// The §5.4 acceptance scenario: a remote viewer receives the identical
 /// notification sequence as the in-process viewer — including across a
 /// forced mid-scenario disconnect/reconnect.
-fn taskforce_scenario_remote_viewer_matches(cfg: NetConfig) {
+#[test]
+fn taskforce_scenario_remote_viewer_matches_in_process() {
     // In-process oracle run.
     let oracle = CmiServer::new();
     let oracle_schemas = taskforce::install(&oracle);
@@ -319,7 +265,7 @@ fn taskforce_scenario_remote_viewer_matches(cfg: NetConfig) {
     // Remote run: identical deterministic scenario on a served system.
     let cmi = Arc::new(CmiServer::new());
     let schemas = taskforce::install(&cmi);
-    let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi.clone(), NetConfig::default());
 
     // The §5.4 users exist only once the scenario starts, so the remote
     // viewer connects after the first violation fires; the queue is
@@ -398,22 +344,13 @@ fn taskforce_scenario_remote_viewer_matches(cfg: NetConfig) {
     server.shutdown();
 }
 
-#[test]
-fn taskforce_scenario_remote_viewer_matches_in_process() {
-    taskforce_scenario_remote_viewer_matches(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn taskforce_scenario_remote_viewer_matches_in_process_reactor() {
-    taskforce_scenario_remote_viewer_matches(cfg_for(NetBackend::Reactor));
-}
-
 /// Network sign-on must observably change `SignedOn` role-assignment
 /// targeting: only users with a live session receive, and sign-off stops
 /// delivery.
-fn network_sign_on_drives_assignment(cfg: NetConfig) {
+#[test]
+fn network_sign_on_drives_signed_on_role_assignment() {
     let (cmi, users) = system_with_watchers(&["alice", "bob"], RoleAssignment::SignedOn);
-    let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi.clone(), NetConfig::default());
 
     // Nobody connected: signed-on assignment falls back to the whole role
     // (notifications are never dropped), so both watchers are targeted.
@@ -436,14 +373,4 @@ fn network_sign_on_drives_assignment(cfg: NetConfig) {
     });
     assert_eq!(ping(&cmi, 2), 2);
     server.shutdown();
-}
-
-#[test]
-fn network_sign_on_drives_signed_on_role_assignment() {
-    network_sign_on_drives_assignment(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn network_sign_on_drives_signed_on_role_assignment_reactor() {
-    network_sign_on_drives_assignment(cfg_for(NetBackend::Reactor));
 }

@@ -21,7 +21,7 @@ use cmi::core::time::Duration;
 use cmi::core::value::Value;
 use cmi::events::operators::ExternalFilter;
 use cmi::net::client::{ClientConfig, Connection};
-use cmi::net::server::{NetBackend, NetConfig, NetServer};
+use cmi::net::server::{NetConfig, NetServer};
 use cmi::net::transport::{LoopbackConnector, NetStream};
 use cmi::workloads::taskforce;
 
@@ -120,7 +120,8 @@ fn drive(server: &CmiServer, schemas: &taskforce::TaskForceSchemas) -> taskforce
     out
 }
 
-fn sharded_soak_matches_oracle(backend: NetBackend) {
+#[test]
+fn sharded_soak_matches_in_process_oracle() {
     // Oracle: unsharded, in-process, single-threaded replay.
     let oracle = CmiServer::new();
     let oracle_schemas = build_world(&oracle);
@@ -130,7 +131,6 @@ fn sharded_soak_matches_oracle(backend: NetBackend) {
     let schemas = build_world(&cmi);
     let cfg = NetConfig {
         push_window: 8, // small window: exercises slow-consumer parking
-        backend,
         ..NetConfig::default()
     };
     let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
@@ -285,16 +285,6 @@ fn sharded_soak_matches_oracle(backend: NetBackend) {
     );
 }
 
-#[test]
-fn sharded_soak_matches_in_process_oracle() {
-    sharded_soak_matches_oracle(NetBackend::Blocking);
-}
-
-#[test]
-fn sharded_soak_matches_in_process_oracle_reactor() {
-    sharded_soak_matches_oracle(NetBackend::Reactor);
-}
-
 fn out_requestor(cmi: &CmiServer) -> cmi::core::ids::UserId {
     cmi.directory()
         .user_by_name("requesting-epidemiologist")
@@ -334,18 +324,15 @@ fn build_durable_world(path: &std::path::Path) -> Arc<CmiServer> {
 /// lands on the reborn server. Every notification must surface exactly
 /// once, in order — the WAL carries the unacknowledged tail across the
 /// process "crash".
-fn durable_queue_resumes_across_server_restart(backend: NetBackend) {
-    let dir = std::env::temp_dir().join(format!(
-        "cmi-net-wal-{}-{backend:?}",
-        std::process::id()
-    ));
+#[test]
+fn durable_queue_resumes_across_server_restart() {
+    let dir = std::env::temp_dir().join(format!("cmi-net-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("queue.jsonl");
     let _ = std::fs::remove_file(&path);
 
     let cfg = NetConfig {
         push_window: 4, // keep plenty unacknowledged at the restart point
-        backend,
         ..NetConfig::default()
     };
     let cmi = build_durable_world(&path);
@@ -438,14 +425,4 @@ fn durable_queue_resumes_across_server_restart(backend: NetBackend) {
     conn.close();
     server.shutdown();
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn durable_queue_resumes_across_server_restart_blocking() {
-    durable_queue_resumes_across_server_restart(NetBackend::Blocking);
-}
-
-#[test]
-fn durable_queue_resumes_across_server_restart_reactor() {
-    durable_queue_resumes_across_server_restart(NetBackend::Reactor);
 }

@@ -19,7 +19,7 @@ use cmi::core::roles::RoleSpec;
 use cmi::core::value::Value;
 use cmi::events::operators::ExternalFilter;
 use cmi::net::client::{ClientConfig, Connection};
-use cmi::net::server::{NetBackend, NetConfig, NetServer};
+use cmi::net::server::{NetConfig, NetServer};
 
 /// A server whose `ping` external events notify `watchers` (member: alice).
 fn system() -> Arc<CmiServer> {
@@ -41,18 +41,10 @@ fn system() -> Arc<CmiServer> {
     cmi
 }
 
-/// Both session engines must tell the identical telemetry story; the
-/// backend is a parameter.
-fn cfg_for(backend: NetBackend) -> NetConfig {
-    NetConfig {
-        backend,
-        ..NetConfig::default()
-    }
-}
-
-fn telemetry_matches_wire_behavior(cfg: NetConfig) {
+#[test]
+fn telemetry_matches_wire_behavior_end_to_end() {
     let cmi = system();
-    let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi.clone(), NetConfig::default());
     let conn = Connection::connect_loopback(connector, "alice", ClientConfig::default()).unwrap();
     let viewer = conn.viewer();
     viewer.subscribe().unwrap();
@@ -148,18 +140,9 @@ fn telemetry_matches_wire_behavior(cfg: NetConfig) {
 }
 
 #[test]
-fn telemetry_matches_wire_behavior_end_to_end() {
-    telemetry_matches_wire_behavior(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn telemetry_matches_wire_behavior_end_to_end_reactor() {
-    telemetry_matches_wire_behavior(cfg_for(NetBackend::Reactor));
-}
-
-fn duplicate_pushes_after_reconnect(cfg: NetConfig) {
+fn duplicate_pushes_after_reconnect_are_counted() {
     let cmi = system();
-    let (server, connector) = NetServer::serve_loopback(cmi.clone(), cfg);
+    let (server, connector) = NetServer::serve_loopback(cmi.clone(), NetConfig::default());
     let conn = Connection::connect_loopback(connector, "alice", ClientConfig::default()).unwrap();
     let viewer = conn.viewer();
     viewer.subscribe().unwrap();
@@ -189,14 +172,4 @@ fn duplicate_pushes_after_reconnect(cfg: NetConfig) {
 
     conn.close();
     server.shutdown();
-}
-
-#[test]
-fn duplicate_pushes_after_reconnect_are_counted() {
-    duplicate_pushes_after_reconnect(cfg_for(NetBackend::Blocking));
-}
-
-#[test]
-fn duplicate_pushes_after_reconnect_are_counted_reactor() {
-    duplicate_pushes_after_reconnect(cfg_for(NetBackend::Reactor));
 }

@@ -24,7 +24,7 @@ use cmi::core::value::Value;
 use cmi::fed::testkit::ElasticCluster;
 use cmi::fed::FedConfig;
 use cmi::net::client::{ClientConfig, ServerTelemetry};
-use cmi::net::server::{NetBackend, NetConfig};
+use cmi::net::server::NetConfig;
 
 /// Identical world on every node: a `Mission` process, alice behind
 /// `w-alice` (the only recipient), bob provisioned for scraper sessions.
@@ -52,14 +52,6 @@ fn setup(cmi: &CmiServer) {
         "#,
     )
     .unwrap();
-}
-
-fn net_cfg() -> NetConfig {
-    NetConfig {
-        backend: NetBackend::Blocking,
-        idle_timeout: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
 }
 
 /// Short peer timeouts so a dead node degrades the scrape quickly.
@@ -106,7 +98,7 @@ fn scrape_until(
 /// alice at node 2 — and the whole story scraped from node 0 alone.
 #[test]
 fn cluster_scrape_merges_nodes_and_splices_the_cross_node_trace() {
-    let cluster = ElasticCluster::start(3, 3, net_cfg(), fed_cfg(), &setup);
+    let cluster = ElasticCluster::start(3, 3, NetConfig::default(), fed_cfg(), &setup);
     let alice = cluster.connect(2, "alice", ClientConfig::default()).unwrap();
     let viewer = alice.viewer();
     viewer.subscribe().unwrap();
@@ -202,7 +194,7 @@ fn cluster_scrape_merges_nodes_and_splices_the_cross_node_trace() {
 /// as a stale-marked section, with the survivors' data intact.
 #[test]
 fn killed_peer_degrades_to_stale_section() {
-    let cluster = ElasticCluster::start(3, 3, net_cfg(), fed_cfg(), &setup);
+    let cluster = ElasticCluster::start(3, 3, NetConfig::default(), fed_cfg(), &setup);
     let scraper = cluster.connect(0, "bob", ClientConfig::default()).unwrap();
 
     // Healthy scrape first: all three nodes answer.
@@ -232,7 +224,7 @@ fn killed_peer_degrades_to_stale_section() {
 /// recorder, visible in the merged cluster dump.
 #[test]
 fn membership_timeline_lands_in_the_flight_recorder() {
-    let cluster = ElasticCluster::start(2, 3, net_cfg(), fed_cfg(), &setup);
+    let cluster = ElasticCluster::start(2, 3, NetConfig::default(), fed_cfg(), &setup);
     // Seed instances on the 2-node cluster so the join has partitions to
     // migrate (the rendezvous share of ~1/3 of these moves to node 2).
     for raw in 1..40u64 {
@@ -271,7 +263,7 @@ fn membership_timeline_lands_in_the_flight_recorder() {
 /// `schema-swap[g<generation>]` record on every adopting node.
 #[test]
 fn schema_swap_lands_in_gauge_and_flight_recorder() {
-    let cluster = ElasticCluster::start(2, 2, net_cfg(), fed_cfg(), &setup);
+    let cluster = ElasticCluster::start(2, 2, NetConfig::default(), fed_cfg(), &setup);
     let bob = cluster.connect(0, "bob", ClientConfig::default()).unwrap();
     let outcome = bob
         .schema_swap(
