@@ -10,7 +10,7 @@
 //!    check from the acceptance criteria, here under bench-sized volumes).
 //! 2. **Hot swap** — injector threads keep a continuous ingest load on the
 //!    server while the schema set is swapped back and forth between two
-//!    versions. Every [`SwapReport`] records the detector write-lock hold:
+//!    versions. Every [`SwapReport`](cmi_awareness::engine::SwapReport) records the detector write-lock hold:
 //!    the ingest pause that every arriving event — including events for
 //!    untouched operators — observes. The self-enforced gate from the
 //!    acceptance criteria is `max pause < 50 ms`; the run fails loudly if

@@ -86,12 +86,60 @@ enum NodeKind {
 }
 
 /// The engine's observability attachment: the shared tracer plus one
-/// pre-resolved `operator_invocations{operator_kind=…}` counter per node
-/// (indexed like `nodes`; `None` for producer leaves).
+/// pre-resolved [`OpObs`] per node (indexed like `nodes`; `None` for
+/// producer leaves).
 struct EngineObs {
     registry: Arc<ObsRegistry>,
     tracer: Arc<DetectionTracer>,
-    op_counters: Vec<Option<Counter>>,
+    ops: Vec<Option<OpObs>>,
+}
+
+/// One operator node's observability handles, resolved when the node or
+/// the registry is attached so the hot path never formats a name.
+struct OpObs {
+    /// The `operator_kind` label: trace steps clone it only when kept.
+    kind: String,
+    /// `operator_invocations{operator_kind=…}`.
+    invocations: Counter,
+}
+
+/// One operator step of a traced ingest, kept unformatted: most ingests
+/// fire no root and drop their steps unread, so a step becomes a
+/// [`TraceStep`] only once a detection keeps it.
+struct RawStep {
+    node: usize,
+    enqueue_to_fire_ns: u64,
+    emitted: bool,
+    /// The work-queue event the operator consumed, moved in after `apply`.
+    input: Event,
+}
+
+/// Everything `ingest` mutates, under the one `state` lock.
+#[derive(Default)]
+struct EngineState {
+    /// Operator state partitions keyed by `(node, partition key)`.
+    parts: HashMap<(usize, u64), OpState>,
+    /// The traced ingest's steps; empty between ingests, and kept only so
+    /// its capacity is reused.
+    steps: Vec<RawStep>,
+}
+
+impl EngineObs {
+    /// Renders the steps `kept` does not hold yet and appends them, so an
+    /// ingest that fires several roots renders each step once.
+    fn render_steps(&self, steps: &[RawStep], kept: &mut Vec<TraceStep>) {
+        let fresh = steps[kept.len()..].iter().map(|s| TraceStep {
+            node: s.node,
+            op: self.ops[s.node]
+                .as_ref()
+                .map(|o| o.kind.clone())
+                .unwrap_or_default(),
+            input: s.input.to_string(),
+            enqueue_to_fire_ns: s.enqueue_to_fire_ns,
+            emitted: s.emitted,
+        });
+        kept.extend(fresh);
+    }
 }
 
 /// `Compare2[as1, <=]` → `Compare2`: the operator kind used as a metric
@@ -110,7 +158,7 @@ pub struct Engine {
     dedup: HashMap<(String, Vec<usize>), usize>,
     /// Whether `add_spec` shares structurally identical nodes.
     sharing: bool,
-    state: Mutex<HashMap<(usize, u64), OpState>>,
+    state: Mutex<EngineState>,
     stats: Mutex<EngineStats>,
     obs: Option<EngineObs>,
 }
@@ -141,7 +189,7 @@ impl Engine {
             leaves: BTreeMap::new(),
             dedup: HashMap::new(),
             sharing: true,
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(EngineState::default()),
             stats: Mutex::new(EngineStats::default()),
             obs: None,
         }
@@ -153,26 +201,27 @@ impl Engine {
     /// firings with enqueue→fire latencies, and the ingest→detection
     /// latency — retrievable through the registry's [`DetectionTracer`].
     pub fn set_obs(&mut self, obs: Arc<ObsRegistry>) {
-        let op_counters = self
-            .nodes
-            .iter()
-            .map(|n| Self::node_counter(&obs, n))
-            .collect();
+        let ops = self.nodes.iter().map(|n| Self::op_obs(&obs, n)).collect();
         self.obs = Some(EngineObs {
             tracer: Arc::clone(obs.tracer()),
-            op_counters,
+            ops,
             registry: obs,
         });
     }
 
-    fn node_counter(obs: &ObsRegistry, node: &EngineNode) -> Option<Counter> {
-        match &node.kind {
-            NodeKind::Producer(_) => None,
-            NodeKind::Operator(op) => Some(obs.counter_with(
+    fn op_obs(obs: &ObsRegistry, node: &EngineNode) -> Option<OpObs> {
+        let NodeKind::Operator(op) = &node.kind else {
+            return None;
+        };
+        let name = op.op_name();
+        let kind = op_kind(&name);
+        Some(OpObs {
+            invocations: obs.counter_with(
                 "cmi_engine_operator_invocations",
-                &[("operator_kind", op_kind(&op.op_name()))],
-            )),
-        }
+                &[("operator_kind", kind)],
+            ),
+            kind: kind.to_owned(),
+        })
     }
 
     /// An engine that duplicates identical sub-DAGs instead of sharing them —
@@ -225,9 +274,8 @@ impl Engine {
         let root = mapping[spec.root().index()];
         self.nodes[root].root_of.push(spec.id());
         if let Some(o) = &mut self.obs {
-            for node in &self.nodes[o.op_counters.len()..] {
-                let c = Self::node_counter(&o.registry, node);
-                o.op_counters.push(c);
+            for node in &self.nodes[o.ops.len()..] {
+                o.ops.push(Self::op_obs(&o.registry, node));
             }
         }
         root
@@ -297,18 +345,20 @@ impl Engine {
                 return detections;
             }
         };
-        // Tracing captures timestamps and renders events, so everything it
-        // needs is gated on an *enabled* tracer: with obs detached (or a
-        // no-op registry) the hot path pays one branch per use.
-        let tracer = self
+        // Tracing reads the clock and keeps each step's input event, so
+        // everything it needs is gated on an *enabled* tracer: with obs
+        // detached (or a no-op registry) the hot path pays one branch per
+        // use. Nothing is formatted unless a root fires.
+        let traced = self
             .obs
             .as_ref()
-            .map(|o| &o.tracer)
-            .filter(|t| t.is_enabled());
-        let ingest_start = tracer.map(|_| Instant::now());
-        let primitive = tracer.map(|_| event.to_string());
-        let mut steps: Vec<TraceStep> = Vec::new();
+            .filter(|o| o.tracer.is_enabled())
+            .map(|o| (o, Instant::now()));
+        let ingest_start = traced.map(|(_, start)| start);
+        let mut primitive: Option<String> = None;
+        let mut kept: Vec<TraceStep> = Vec::new();
         let mut state = self.state.lock();
+        let EngineState { parts, steps } = &mut *state;
         let mut stats = self.stats.lock();
         stats.events_ingested += 1;
 
@@ -326,8 +376,8 @@ impl Engine {
             };
             stats.operator_invocations += 1;
             if let Some(o) = &self.obs {
-                if let Some(Some(c)) = o.op_counters.get(node_idx) {
-                    c.inc();
+                if let Some(Some(op_obs)) = o.ops.get(node_idx) {
+                    op_obs.invocations.inc();
                 }
             }
             out_buf.clear();
@@ -341,29 +391,29 @@ impl Engine {
                         .process_instance()
                         .map(|i| i.raw())
                         .unwrap_or(u64::MAX - 1);
-                    let st = state
+                    let st = parts
                         .entry((node_idx, key))
                         .or_insert_with(|| op.new_state());
                     op.apply(slot, &ev, st, &mut out_buf);
                 }
                 PartitionMode::Global => {
-                    let st = state
+                    let st = parts
                         .entry((node_idx, u64::MAX))
                         .or_insert_with(|| op.new_state());
                     op.apply(slot, &ev, st, &mut out_buf);
                 }
             }
-            let fired = tracer.map(|_| {
-                steps.push(TraceStep {
+            // One clock read is both this step's fire time and the enqueue
+            // stamp of the events it emits. `enqueued` is set iff tracing.
+            let fired = enqueued.map(|enqueued| {
+                let now = Instant::now();
+                steps.push(RawStep {
                     node: node_idx,
-                    op: op_kind(&op.op_name()).to_owned(),
-                    input: ev.to_string(),
-                    enqueue_to_fire_ns: enqueued
-                        .map(|e| e.elapsed().as_nanos() as u64)
-                        .unwrap_or(0),
+                    enqueue_to_fire_ns: now.duration_since(enqueued).as_nanos() as u64,
                     emitted: !out_buf.is_empty(),
+                    input: ev,
                 });
-                Instant::now()
+                now
             });
             for produced in out_buf.drain(..) {
                 if let Some(keep) = keep {
@@ -374,20 +424,20 @@ impl Engine {
                 stats.events_emitted += 1;
                 for &spec in &node.root_of {
                     stats.detections += 1;
-                    let trace = tracer.and_then(|t| {
+                    let trace = traced.zip(fired).and_then(|((o, start), fired)| {
+                        let detection_ns = fired.duration_since(start).as_nanos() as u64;
+                        o.render_steps(steps, &mut kept);
                         // The carrier segment (if any) is claimed by the
                         // first detection; later detections of the same
                         // ingest fall back to fresh local traces inside
                         // `record_detection_for`.
-                        t.record_detection_for(
+                        o.tracer.record_detection_for(
                             carrier,
                             spec.raw(),
                             produced.process_instance().map(|i| i.raw()),
-                            primitive.as_deref().unwrap_or(""),
-                            steps.clone(),
-                            ingest_start
-                                .map(|s| s.elapsed().as_nanos() as u64)
-                                .unwrap_or(0),
+                            primitive.get_or_insert_with(|| event.to_string()),
+                            kept.clone(),
+                            detection_ns,
                         )
                     });
                     detections.push(Detection {
@@ -401,6 +451,7 @@ impl Engine {
                 }
             }
         }
+        steps.clear();
         detections
     }
 
@@ -432,7 +483,7 @@ impl Engine {
             operators: self.nodes.len() - producers,
             shared_nodes: self.nodes.iter().filter(|n| n.ref_count > 1).count(),
             specs: self.nodes.iter().map(|n| n.root_of.len()).sum(),
-            state_partitions: self.state.lock().len(),
+            state_partitions: self.state.lock().parts.len(),
         }
     }
 
@@ -472,9 +523,9 @@ impl Engine {
             o.tracer.evict_instance(raw_instance);
         }
         let mut state = self.state.lock();
-        let before = state.len();
-        state.retain(|(_, key), _| *key != raw_instance);
-        before - state.len()
+        let before = state.parts.len();
+        state.parts.retain(|(_, key), _| *key != raw_instance);
+        before - state.parts.len()
     }
 
     /// Serializes every state partition of one raw process instance as
@@ -488,7 +539,7 @@ impl Engine {
     pub fn export_instance(&self, raw_instance: u64) -> Vec<(u32, String, Vec<u8>)> {
         let state = self.state.lock();
         let mut parts: Vec<(u32, String, Vec<u8>)> = Vec::new();
-        for ((node_idx, key), st) in state.iter() {
+        for ((node_idx, key), st) in state.parts.iter() {
             if *key != raw_instance {
                 continue;
             }
@@ -510,6 +561,7 @@ impl Engine {
     pub fn instances(&self) -> Vec<u64> {
         let state = self.state.lock();
         let mut out: Vec<u64> = state
+            .parts
             .keys()
             .map(|(_, key)| *key)
             .filter(|&key| key != u64::MAX && key != u64::MAX - 1)
@@ -541,7 +593,7 @@ impl Engine {
             let Some(st) = op.restore_state(bytes) else {
                 continue;
             };
-            state.insert((idx, raw_instance), st);
+            state.parts.insert((idx, raw_instance), st);
             installed += 1;
         }
         installed
@@ -604,8 +656,8 @@ impl Engine {
     pub(crate) fn export_all_state(&self) -> Vec<(String, u64, Vec<u8>)> {
         let sigs = self.structural_signatures();
         let state = self.state.lock();
-        let mut out = Vec::with_capacity(state.len());
-        for ((node_idx, key), st) in state.iter() {
+        let mut out = Vec::with_capacity(state.parts.len());
+        for ((node_idx, key), st) in state.parts.iter() {
             if !matches!(self.nodes[*node_idx].kind, NodeKind::Operator(_)) {
                 continue;
             }
@@ -630,7 +682,7 @@ impl Engine {
         let Some(st) = op.restore_state(bytes) else {
             return false;
         };
-        self.state.lock().insert((node_idx, key), st);
+        self.state.lock().parts.insert((node_idx, key), st);
         true
     }
 }
@@ -640,8 +692,10 @@ mod tests {
     use super::*;
     use crate::event::params;
     use crate::operator::CmpOp;
-    use crate::operators::{Compare2Op, ContextFilter, CountOp, OutputOp};
-    use crate::producers::context_event;
+    use crate::operators::{
+        AndOp, Compare2Op, ContextFilter, CountOp, ExternalFilter, OutputOp, SeqOp,
+    };
+    use crate::producers::{context_event, external_event};
     use crate::spec::SpecBuilder;
     use cmi_core::context::ContextFieldChange;
     use cmi_core::ids::{ContextId, ProcessInstanceId, ProcessSchemaId};
@@ -850,6 +904,149 @@ mod tests {
         let trace_id = d[0].trace.unwrap();
         engine.evict_instance(9);
         assert!(obs.tracer().get(trace_id).is_none());
+    }
+
+    fn ext_event(source: &str, instance: u64, ms: u64) -> Event {
+        external_event(
+            source,
+            Timestamp::from_millis(ms),
+            [("inst".to_owned(), Value::Id(instance))],
+        )
+    }
+
+    fn ext_filter(source: &str) -> Arc<ExternalFilter> {
+        Arc::new(ExternalFilter::new(P, source, Some("inst")))
+    }
+
+    /// `seq(a, b)` (spec 1) and, with `and`, `and(a, b)` (spec 2) over the
+    /// external sources `a` and `b`, sharing both filters.
+    fn seq_and_engine(with_and: bool) -> (Engine, Arc<cmi_obs::ObsRegistry>) {
+        let spec = |id: u64, root: Arc<dyn EventOperator>| {
+            let mut b = SpecBuilder::new();
+            let pa = b.producer(Producer::External("a".into()));
+            let fa = b.operator(ext_filter("a"), &[pa]).unwrap();
+            let pb = b.producer(Producer::External("b".into()));
+            let fb = b.operator(ext_filter("b"), &[pb]).unwrap();
+            let r = b.operator(root, &[fa, fb]).unwrap();
+            b.build(SpecId(id), "pair", r).unwrap()
+        };
+        let mut engine = Engine::new();
+        engine.add_spec(&spec(1, Arc::new(SeqOp::new(P, 2, 1))));
+        if with_and {
+            engine.add_spec(&spec(2, Arc::new(AndOp::new(P, 2, 1))));
+        }
+        let obs = Arc::new(cmi_obs::ObsRegistry::new());
+        engine.set_obs(Arc::clone(&obs));
+        (engine, obs)
+    }
+
+    /// What `ext_filter(source)` emits for `event`: the input the operator
+    /// downstream of the filter consumes.
+    fn filtered(source: &str, event: &Event) -> Event {
+        let mut out = Vec::new();
+        ext_filter(source).apply(0, event, &mut (Box::new(()) as OpState), &mut out);
+        out.pop().expect("the filter passes its own source")
+    }
+
+    fn step_view(tr: &cmi_obs::DetectionTrace) -> Vec<(usize, &str, &str, bool)> {
+        tr.steps
+            .iter()
+            .map(|s| (s.node, s.op.as_str(), s.input.as_str(), s.emitted))
+            .collect()
+    }
+
+    #[test]
+    fn kept_trace_renders_primitive_and_steps_exactly() {
+        let (engine, obs) = seq_and_engine(false);
+        let first = ext_event("a", 9, 1);
+        assert!(
+            engine.ingest(&first).is_empty(),
+            "seq absorbs its first half"
+        );
+        let second = ext_event("b", 9, 2);
+        let d = engine.ingest(&second);
+        assert_eq!(d.len(), 1);
+        let tr = obs.tracer().get(d[0].trace.unwrap()).unwrap();
+        assert_eq!(tr.primitive, second.to_string());
+        // Nodes: 0 leaf a, 1 filter a, 2 leaf b, 3 filter b, 4 seq.
+        let input = second.to_string();
+        let canon = filtered("b", &second).to_string();
+        assert_eq!(
+            step_view(&tr),
+            vec![
+                (3, "Filter_ext", input.as_str(), true),
+                (4, "Seq", canon.as_str(), true)
+            ]
+        );
+    }
+
+    #[test]
+    fn one_ingest_firing_two_specs_keeps_two_nested_traces() {
+        let (engine, obs) = seq_and_engine(true);
+        engine.ingest(&ext_event("a", 9, 1));
+        let second = ext_event("b", 9, 2);
+        let d = engine.ingest(&second);
+        let specs: Vec<u64> = d.iter().map(|x| x.spec.raw()).collect();
+        assert_eq!(specs, vec![1, 2]);
+        let (t1, t2) = (d[0].trace.unwrap(), d[1].trace.unwrap());
+        assert_ne!(t1, t2, "each detection gets its own trace id");
+        let (tr1, tr2) = (obs.tracer().get(t1).unwrap(), obs.tracer().get(t2).unwrap());
+        assert_eq!(tr1.primitive, second.to_string());
+        assert_eq!(tr2.primitive, second.to_string());
+        assert!(tr1.steps.len() < tr2.steps.len());
+        assert_eq!(step_view(&tr1), step_view(&tr2)[..tr1.steps.len()]);
+        let canon = filtered("b", &second).to_string();
+        assert_eq!(
+            step_view(&tr2)[tr1.steps.len()..],
+            [(5, "And", canon.as_str(), true)]
+        );
+    }
+
+    #[test]
+    fn multi_shard_context_event_claims_the_carrier_once() {
+        let mut b = SpecBuilder::new();
+        let ctx = b.producer(Producer::Context);
+        let f = b
+            .operator(Arc::new(ContextFilter::new(P, "C", "f")), &[ctx])
+            .unwrap();
+        let spec = b.build(SpecId(1), "ctx", f).unwrap();
+        let mut sharded = crate::sharded::ShardedEngine::new(2);
+        sharded.add_spec(&spec);
+        let obs = Arc::new(cmi_obs::ObsRegistry::new());
+        sharded.set_obs(Arc::clone(&obs));
+        // Two instances owned by different shards.
+        let i1 = 1;
+        let i2 = (2..64)
+            .find(|&i| sharded.shard_of_raw(i) != sharded.shard_of_raw(i1))
+            .unwrap();
+        let event = context_event(&ContextFieldChange {
+            time: Timestamp::from_millis(1),
+            context_id: ContextId(1),
+            context_name: "C".into(),
+            processes: vec![(P, ProcessInstanceId(i1)), (P, ProcessInstanceId(i2))],
+            field_name: "f".into(),
+            old_value: None,
+            new_value: Value::Int(3),
+        });
+        assert_eq!(sharded.shards_for(&event).len(), 2);
+        let carrier = 0x55;
+        obs.tracer()
+            .open_segment(carrier, cmi_obs::TraceHop::Owner, "wire", None);
+        let d = sharded.ingest_traced(&event, Some(carrier));
+        assert_eq!(d.len(), 2);
+        let ids: Vec<u64> = d.iter().map(|x| x.trace.unwrap()).collect();
+        assert_eq!(ids.iter().filter(|&&id| id == carrier).count(), 1);
+        for id in ids {
+            let tr = obs.tracer().get(id).unwrap();
+            assert_eq!(tr.primitive, event.to_string());
+            assert_eq!(tr.steps.len(), 1);
+            let hop = if id == carrier {
+                cmi_obs::TraceHop::Owner
+            } else {
+                cmi_obs::TraceHop::Local
+            };
+            assert_eq!(tr.hop, hop);
+        }
     }
 
     #[test]

@@ -161,7 +161,8 @@ pub mod series {
     pub const HANDOFF_NS: &str = "cmi_fed_handoff_ns";
     /// Sign-on gossip frames dropped for carrying a stale version.
     pub const STALE_GOSSIP: &str = "cmi_fed_stale_gossip_dropped";
-    /// Directory ops shipped to peers over [`Request::FedDirSync`].
+    /// Directory ops shipped to peers over
+    /// [`Request::FedDirSync`](cmi_net::wire::Request::FedDirSync).
     pub const DIR_OPS_SENT: &str = "cmi_fed_dir_ops_sent";
     /// Foreign directory ops applied locally (duplicates excluded).
     pub const DIR_OPS_APPLIED: &str = "cmi_fed_dir_ops_applied";
@@ -1492,7 +1493,7 @@ impl FedCore {
     /// Waits for every remote acknowledgement behind `handle` and returns
     /// the cluster-wide notification count. A share fenced by a view change
     /// is re-partitioned under the adopted view and re-submitted (bounded
-    /// by [`MAX_ROUTE_RETRIES`]); a share whose owner became unreachable is
+    /// by `MAX_ROUTE_RETRIES`); a share whose owner became unreachable is
     /// retried likewise if ownership moved, and otherwise surfaces
     /// [`FedError::PeerUnavailable`] naming the instance's *current* owner
     /// under the latest view. Every ticket is drained even on failure (the

@@ -7,7 +7,7 @@
 //! non-blocking mode and owned by one of a small fixed pool of event-loop
 //! threads, the first of which also owns the listener. Readiness events
 //! feed decoded frames to the per-session protocol state machine
-//! ([`SessionCore`], which performs no I/O and emits encoded bytes into an
+//! (`SessionCore`, which performs no I/O and emits encoded bytes into an
 //! out-buffer), write interest is toggled around the bounded push window, a
 //! timer wheel holds the idle deadlines, and the persistent queue's enqueue
 //! hook wakes the loops exactly when there is push work. Nothing polls on a
@@ -31,7 +31,7 @@
 //!   flush its pending writes, sends `Goodbye`, signs users off and joins
 //!   the event loops.
 //!
-//! [`Directory::set_signed_on`]: cmi_core::directory::Directory::set_signed_on
+//! [`Directory::set_signed_on`]: cmi_core::participant::Directory::set_signed_on
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};

@@ -12,6 +12,20 @@
 //! the history of a quiet one. All ids are raw `u64`s so the crate has no
 //! dependency on the core id types.
 //!
+//! # When formatting happens
+//!
+//! A trace holds text, but the engine renders none on an ingest that
+//! detects nothing. While an event flows through the DAG it records each
+//! operator step as raw data (node, enqueue→fire latency, whether it
+//! emitted, and the input event itself). Only when a root fires does it
+//! format the primitive event and the steps, each at most once per ingest
+//! however many roots fire, and hand them to
+//! [`DetectionTracer::record_detection_for`]. A detection's latencies (its
+//! steps' enqueue→fire times and `detection_ns`) are read before its own
+//! formatting; only steps that fire after an earlier root of the same
+//! ingest wait behind that root's. Stage labels are `&'static str`, so
+//! stamping a stage copies no string.
+//!
 //! # Cross-node lineage
 //!
 //! In a federated cluster one detection spans up to three nodes: the node
@@ -133,7 +147,7 @@ pub struct DetectionTrace {
     pub steps: Vec<TraceStep>,
     /// Downstream `(stage label, ns since detection)` pairs, e.g.
     /// `("queue", …)`, `("push", …)`, `("ack", …)`.
-    pub stages: Vec<(String, u64)>,
+    pub stages: Vec<(&'static str, u64)>,
     /// Notification sequence numbers bound to this trace (one per
     /// recipient of the composite event).
     pub seqs: Vec<u64>,
@@ -450,19 +464,19 @@ impl DetectionTracer {
     }
 
     /// Appends a downstream stage (latency measured from the detection).
-    pub fn stage(&self, trace_id: u64, label: &str) {
+    pub fn stage(&self, trace_id: u64, label: &'static str) {
         if !self.enabled {
             return;
         }
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.traces.get_mut(&trace_id) {
             let ns = entry.detected_at.elapsed().as_nanos() as u64;
-            entry.trace.stages.push((label.to_owned(), ns));
+            entry.trace.stages.push((label, ns));
         }
     }
 
     /// Appends a downstream stage to the trace bound to `seq`, if any.
-    pub fn stage_for_seq(&self, seq: u64, label: &str) {
+    pub fn stage_for_seq(&self, seq: u64, label: &'static str) {
         if !self.enabled {
             return;
         }
@@ -470,7 +484,7 @@ impl DetectionTracer {
         if let Some(&id) = inner.by_seq.get(&seq) {
             if let Some(entry) = inner.traces.get_mut(&id) {
                 let ns = entry.detected_at.elapsed().as_nanos() as u64;
-                entry.trace.stages.push((label.to_owned(), ns));
+                entry.trace.stages.push((label, ns));
             }
         }
     }
@@ -555,7 +569,7 @@ impl DetectionTracer {
                     inner.by_seq.remove(seq);
                 }
                 let ns = entry.detected_at.elapsed().as_nanos() as u64;
-                entry.trace.stages.push(("migrated".to_owned(), ns));
+                entry.trace.stages.push(("migrated", ns));
                 out.push(entry.trace);
             }
         }
@@ -730,7 +744,7 @@ mod tests {
         let migrated = t.migrate_instance(5);
         assert_eq!(migrated.len(), 2);
         for tr in &migrated {
-            assert_eq!(tr.stages.last().map(|(l, _)| l.as_str()), Some("migrated"));
+            assert_eq!(tr.stages.last().map(|(l, _)| *l), Some("migrated"));
         }
         assert!(t.get(a).is_none());
         assert!(t.get(b).is_none());

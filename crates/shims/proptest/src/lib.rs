@@ -1,9 +1,10 @@
 //! Offline shim for the `proptest` crate.
 //!
 //! The build environment has no crates registry, so this workspace vendors
-//! the slice of the proptest API its property tests use: the [`Strategy`]
-//! trait with `prop_map` / `prop_flat_map` / `prop_recursive`, range and
-//! tuple strategies, [`collection::vec`], [`option::of`], `any::<T>()`,
+//! the slice of the proptest API its property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` /
+//! `prop_flat_map` / `prop_recursive`, range and tuple strategies,
+//! [`collection::vec`], [`option::of`], `any::<T>()`,
 //! `Just`, the `prop_oneof!` / `proptest!` / `prop_assert*!` macros, and
 //! [`test_runner::ProptestConfig`].
 //!
